@@ -32,24 +32,9 @@ namespace {
 #ifndef MP_GIT_SHA
 #define MP_GIT_SHA "unknown"
 #endif
-#ifndef MP_NATIVE_BUILD
-#define MP_NATIVE_BUILD "OFF"
-#endif
 #ifndef MP_BUILD_TYPE
 #define MP_BUILD_TYPE "unknown"
 #endif
-
-const char* isa_name() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#elif defined(__AVX__)
-  return "avx";
-#else
-  return "sse2";
-#endif
-}
 
 std::vector<double> random_vec(size_t n, uint32_t seed) {
   std::mt19937 rng(seed);
@@ -143,9 +128,9 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report;
   report.set_config("git_sha", MP_GIT_SHA);
-  report.set_config("mp_native", MP_NATIVE_BUILD);
   report.set_config("build_type", MP_BUILD_TYPE);
-  report.set_config("isa", isa_name());
+  // The microkernel tier dgemm() dispatches to on this CPU.
+  report.set_config("isa", linalg::to_string(linalg::gemm_tier()));
   report.set_config("compiler", __VERSION__);
   report.set_config("mode", quick ? "quick" : "full");
 
@@ -284,7 +269,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     ok = false;
   }
-  std::printf("\nwrote %s (git_sha=%s isa=%s native=%s)\n", out_path.c_str(),
-              MP_GIT_SHA, isa_name(), MP_NATIVE_BUILD);
+  std::printf("\nwrote %s (git_sha=%s isa=%s)\n", out_path.c_str(),
+              MP_GIT_SHA, linalg::to_string(linalg::gemm_tier()));
   return ok ? 0 : 1;
 }

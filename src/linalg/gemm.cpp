@@ -5,7 +5,7 @@
 #include "support/aligned_buf.h"
 #include "support/error.h"
 
-#if defined(__SSE2__)
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
@@ -13,38 +13,21 @@ namespace mp::linalg {
 namespace {
 
 // BLIS-style cache blocking (see DESIGN.md "Kernel & scheduler hot paths"):
-//   kMr x kNr — the register tile held in accumulators by the microkernel;
+//   kMr x kNr — the register tile held in accumulators by the microkernel
+//               (a property of the tier, see below);
 //   kMc x kKc — the packed A block, sized for L2;
 //   kKc x kNc — the packed B panel, sized to stay resident in L3 while the
 //               ic loop sweeps the whole M dimension over it.
 // Loop order is NC -> KC -> MC: for each B panel we stream every A block
 // against it, so B is loaded from memory once per KC pass.
-// The register tile must fit the accumulators in architectural vector
-// registers or the microkernel spills and loses to the naive loop:
-//   AVX-512: 16x6 doubles = 12 zmm of 32;  AVX/AVX2: 8x6 = 12 ymm of 16;
-//   SSE2 baseline: 4x4 = 8 xmm of 16. The accumulators are explicit named
-//   SIMD variables because GCC will not promote an accumulator array out
-//   of the stack even when the loops fully unroll.
-#if defined(__AVX512F__)
-constexpr size_t kMr = 16;
-constexpr size_t kNr = 6;
-#elif defined(__AVX__)
-constexpr size_t kMr = 8;
-constexpr size_t kNr = 6;
-#else
-constexpr size_t kMr = 4;
-constexpr size_t kNr = 4;
-#endif
-constexpr size_t kMc = 128;  // multiple of kMr
+constexpr size_t kMc = 128;  // multiple of every tier's kMr
 constexpr size_t kKc = 256;
-constexpr size_t kNc = 768;  // multiple of kNr; B panel = 1.5 MiB
-
-static_assert(kMc % kMr == 0, "kMc must be a multiple of kMr");
-static_assert(kNc % kNr == 0, "kNc must be a multiple of kNr");
+constexpr size_t kNc = 768;  // multiple of every tier's kNr; B panel = 1.5 MiB
 
 // Packs op(A)(i0..i0+mb, k0..k0+kb) into row panels of height kMr:
 // pack[panel][k][r] with r < kMr, zero-padded so the microkernel never
 // needs an M edge case.
+template <size_t kMr>
 void pack_a(bool trans, const double* __restrict a, size_t lda, size_t i0,
             size_t k0, size_t mb, size_t kb, double* __restrict pack) {
   for (size_t ip = 0; ip < mb; ip += kMr) {
@@ -73,6 +56,7 @@ void pack_a(bool trans, const double* __restrict a, size_t lda, size_t i0,
 
 // Packs op(B)(k0..k0+kb, j0..j0+nb) into column panels of width kNr:
 // pack[panel][k][c] with c < kNr, zero-padded in N.
+template <size_t kNr>
 void pack_b(bool trans, const double* __restrict b, size_t ldb, size_t k0,
             size_t j0, size_t kb, size_t nb, double* __restrict pack) {
   for (size_t jp = 0; jp < nb; jp += kNr) {
@@ -100,11 +84,31 @@ void pack_b(bool trans, const double* __restrict b, size_t ldb, size_t k0,
 }
 
 // The register-blocked microkernel: acc(kMr x kNr) = Ap-panel * Bp-panel
-// over kb ranks, acc column-major (i fastest). One variant per ISA tier.
-#if defined(__AVX512F__)
+// over kb ranks, acc column-major (i fastest). One variant per tier. The
+// tile must fit the accumulators in architectural vector registers or the
+// kernel spills and loses to the naive loop:
+//   AVX-512: 16x6 doubles = 12 zmm of 32;  AVX2: 8x6 = 12 ymm of 16;
+//   SSE2: 4x4 = 8 xmm of 16.
+// The accumulators are explicit named SIMD variables because GCC will not
+// promote an accumulator array out of the stack even when the loops fully
+// unroll.
+//
+// Every x86-64 build compiles all three SIMD kernels; only the kernels
+// carry a target attribute, so nothing else in the program (inline
+// library functions included) is ever compiled for an ISA the CPU may
+// lack. They must stay in this translation unit for the same reason: a
+// separate TU built with -mavx512f emits its own copies of inline
+// functions, and the linker may keep those copies for the whole program.
+using Microkernel = void (*)(size_t kb, const double* __restrict ap,
+                             const double* __restrict bp,
+                             double* __restrict acc);
 
-inline void microkernel(size_t kb, const double* __restrict ap,
-                        const double* __restrict bp, double* __restrict acc) {
+#if defined(__x86_64__)
+
+__attribute__((target("avx512f,fma"))) void microkernel_avx512(
+    size_t kb, const double* __restrict ap, const double* __restrict bp,
+    double* __restrict acc) {
+  constexpr size_t kMr = 16, kNr = 6;
   __m512d c0a = _mm512_setzero_pd(), c0b = _mm512_setzero_pd();
   __m512d c1a = _mm512_setzero_pd(), c1b = _mm512_setzero_pd();
   __m512d c2a = _mm512_setzero_pd(), c2b = _mm512_setzero_pd();
@@ -150,16 +154,10 @@ inline void microkernel(size_t kb, const double* __restrict ap,
   _mm512_storeu_pd(acc + 5 * kMr + 8, c5b);
 }
 
-#elif defined(__AVX__)
-
-#if defined(__FMA__)
-#define MP_FMADD(a, b, c) _mm256_fmadd_pd(a, b, c)
-#else
-#define MP_FMADD(a, b, c) _mm256_add_pd(_mm256_mul_pd(a, b), c)
-#endif
-
-inline void microkernel(size_t kb, const double* __restrict ap,
-                        const double* __restrict bp, double* __restrict acc) {
+__attribute__((target("avx2,fma"))) void microkernel_avx2(
+    size_t kb, const double* __restrict ap, const double* __restrict bp,
+    double* __restrict acc) {
+  constexpr size_t kMr = 8, kNr = 6;
   __m256d c0a = _mm256_setzero_pd(), c0b = _mm256_setzero_pd();
   __m256d c1a = _mm256_setzero_pd(), c1b = _mm256_setzero_pd();
   __m256d c2a = _mm256_setzero_pd(), c2b = _mm256_setzero_pd();
@@ -171,23 +169,23 @@ inline void microkernel(size_t kb, const double* __restrict ap,
     const __m256d a1 = _mm256_loadu_pd(ap + 4);
     __m256d b;
     b = _mm256_set1_pd(bp[0]);
-    c0a = MP_FMADD(a0, b, c0a);
-    c0b = MP_FMADD(a1, b, c0b);
+    c0a = _mm256_fmadd_pd(a0, b, c0a);
+    c0b = _mm256_fmadd_pd(a1, b, c0b);
     b = _mm256_set1_pd(bp[1]);
-    c1a = MP_FMADD(a0, b, c1a);
-    c1b = MP_FMADD(a1, b, c1b);
+    c1a = _mm256_fmadd_pd(a0, b, c1a);
+    c1b = _mm256_fmadd_pd(a1, b, c1b);
     b = _mm256_set1_pd(bp[2]);
-    c2a = MP_FMADD(a0, b, c2a);
-    c2b = MP_FMADD(a1, b, c2b);
+    c2a = _mm256_fmadd_pd(a0, b, c2a);
+    c2b = _mm256_fmadd_pd(a1, b, c2b);
     b = _mm256_set1_pd(bp[3]);
-    c3a = MP_FMADD(a0, b, c3a);
-    c3b = MP_FMADD(a1, b, c3b);
+    c3a = _mm256_fmadd_pd(a0, b, c3a);
+    c3b = _mm256_fmadd_pd(a1, b, c3b);
     b = _mm256_set1_pd(bp[4]);
-    c4a = MP_FMADD(a0, b, c4a);
-    c4b = MP_FMADD(a1, b, c4b);
+    c4a = _mm256_fmadd_pd(a0, b, c4a);
+    c4b = _mm256_fmadd_pd(a1, b, c4b);
     b = _mm256_set1_pd(bp[5]);
-    c5a = MP_FMADD(a0, b, c5a);
-    c5b = MP_FMADD(a1, b, c5b);
+    c5a = _mm256_fmadd_pd(a0, b, c5a);
+    c5b = _mm256_fmadd_pd(a1, b, c5b);
     ap += kMr;
     bp += kNr;
   }
@@ -205,12 +203,10 @@ inline void microkernel(size_t kb, const double* __restrict ap,
   _mm256_storeu_pd(acc + 5 * kMr + 4, c5b);
 }
 
-#undef MP_FMADD
-
-#elif defined(__SSE2__)
-
-inline void microkernel(size_t kb, const double* __restrict ap,
-                        const double* __restrict bp, double* __restrict acc) {
+__attribute__((target("sse2"))) void microkernel_sse2(
+    size_t kb, const double* __restrict ap, const double* __restrict bp,
+    double* __restrict acc) {
+  constexpr size_t kMr = 4, kNr = 4;
   __m128d c0a = _mm_setzero_pd(), c0b = _mm_setzero_pd();
   __m128d c1a = _mm_setzero_pd(), c1b = _mm_setzero_pd();
   __m128d c2a = _mm_setzero_pd(), c2b = _mm_setzero_pd();
@@ -247,8 +243,9 @@ inline void microkernel(size_t kb, const double* __restrict ap,
 #else
 
 // Scalar fallback for non-x86 hosts.
-inline void microkernel(size_t kb, const double* __restrict ap,
+void microkernel_scalar(size_t kb, const double* __restrict ap,
                         const double* __restrict bp, double* __restrict acc) {
+  constexpr size_t kMr = 4, kNr = 4;
   double c[kMr * kNr] = {};
   for (size_t k = 0; k < kb; ++k) {
     for (size_t j = 0; j < kNr; ++j) {
@@ -266,9 +263,10 @@ inline void microkernel(size_t kb, const double* __restrict ap,
 // Writes the accumulator tile into C. `apply_beta` is true only on the
 // first KC block of a column stripe, so beta is applied exactly once and
 // beta == 0 never reads C (the BLAS NaN-overwrite convention).
-inline void store_tile(const double* __restrict acc, double* __restrict c,
-                       size_t ldc, size_t mr, size_t nr, double alpha,
-                       double beta, bool apply_beta) {
+template <size_t kMr>
+void store_tile(const double* __restrict acc, double* __restrict c,
+                size_t ldc, size_t mr, size_t nr, double alpha, double beta,
+                bool apply_beta) {
   for (size_t j = 0; j < nr; ++j) {
     double* __restrict cj = c + j * ldc;
     const double* __restrict aj = acc + j * kMr;
@@ -282,11 +280,59 @@ inline void store_tile(const double* __restrict acc, double* __restrict c,
   }
 }
 
-}  // namespace
+// The blocked loop nest around one tier's microkernel. `packa`/`packb`
+// hold kMc*kKc and kKc*kNc doubles.
+template <size_t kMr, size_t kNr, Microkernel kernel>
+void gemm_blocked(bool ta, bool tb, size_t m, size_t n, size_t k,
+                  double alpha, const double* a, size_t lda, const double* b,
+                  size_t ldb, double beta, double* c, size_t ldc,
+                  double* packa, double* packb) {
+  static_assert(kMc % kMr == 0, "kMc must be a multiple of kMr");
+  static_assert(kNc % kNr == 0, "kNc must be a multiple of kNr");
+  for (size_t jc = 0; jc < n; jc += kNc) {
+    const size_t nb = std::min(kNc, n - jc);
+    for (size_t pc = 0; pc < k; pc += kKc) {
+      const size_t kb = std::min(kKc, k - pc);
+      const bool apply_beta = (pc == 0);
+      pack_b<kNr>(tb, b, ldb, pc, jc, kb, nb, packb);
+      for (size_t ic = 0; ic < m; ic += kMc) {
+        const size_t mb = std::min(kMc, m - ic);
+        pack_a<kMr>(ta, a, lda, ic, pc, mb, kb, packa);
+        for (size_t jr = 0; jr < nb; jr += kNr) {
+          const size_t nr = std::min(kNr, nb - jr);
+          const double* bp = packb + jr * kb;
+          for (size_t ir = 0; ir < mb; ir += kMr) {
+            const size_t mr = std::min(kMr, mb - ir);
+            alignas(64) double acc[kMr * kNr];
+            kernel(kb, packa + ir * kb, bp, acc);
+            store_tile<kMr>(acc, c + (jc + jr) * ldc + ic + ir, ldc, mr, nr,
+                            alpha, beta, apply_beta);
+          }
+        }
+      }
+    }
+  }
+}
 
-void dgemm(char transa, char transb, size_t m, size_t n, size_t k,
-           double alpha, const double* a, size_t lda, const double* b,
-           size_t ldb, double beta, double* c, size_t ldc) {
+GemmTier detect_tier() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();  // in case the first dgemm runs in a static initializer
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
+    return GemmTier::kAvx512;
+  }
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return GemmTier::kAvx2;
+  }
+  return GemmTier::kSse2;
+#else
+  return GemmTier::kScalar;
+#endif
+}
+
+void dgemm_impl(GemmTier tier, char transa, char transb, size_t m, size_t n,
+                size_t k, double alpha, const double* a, size_t lda,
+                const double* b, size_t ldb, double beta, double* c,
+                size_t ldc) {
   MP_REQUIRE(transa == 'N' || transa == 'T' || transa == 'n' || transa == 't',
              "dgemm: bad transa");
   MP_REQUIRE(transb == 'N' || transb == 'T' || transb == 'n' || transb == 't',
@@ -314,29 +360,70 @@ void dgemm(char transa, char transb, size_t m, size_t n, size_t k,
   double* packa = ws.get(support::WorkspacePool::kGemmPackA, kMc * kKc);
   double* packb = ws.get(support::WorkspacePool::kGemmPackB, kKc * kNc);
 
-  for (size_t jc = 0; jc < n; jc += kNc) {
-    const size_t nb = std::min(kNc, n - jc);
-    for (size_t pc = 0; pc < k; pc += kKc) {
-      const size_t kb = std::min(kKc, k - pc);
-      const bool apply_beta = (pc == 0);
-      pack_b(tb, b, ldb, pc, jc, kb, nb, packb);
-      for (size_t ic = 0; ic < m; ic += kMc) {
-        const size_t mb = std::min(kMc, m - ic);
-        pack_a(ta, a, lda, ic, pc, mb, kb, packa);
-        for (size_t jr = 0; jr < nb; jr += kNr) {
-          const size_t nr = std::min(kNr, nb - jr);
-          const double* bp = packb + jr * kb;
-          for (size_t ir = 0; ir < mb; ir += kMr) {
-            const size_t mr = std::min(kMr, mb - ir);
-            alignas(64) double acc[kMr * kNr];
-            microkernel(kb, packa + ir * kb, bp, acc);
-            store_tile(acc, c + (jc + jr) * ldc + ic + ir, ldc, mr, nr,
-                       alpha, beta, apply_beta);
-          }
-        }
-      }
-    }
+  switch (tier) {
+#if defined(__x86_64__)
+    case GemmTier::kAvx512:
+      return gemm_blocked<16, 6, microkernel_avx512>(
+          ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packa, packb);
+    case GemmTier::kAvx2:
+      return gemm_blocked<8, 6, microkernel_avx2>(
+          ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packa, packb);
+    case GemmTier::kSse2:
+      return gemm_blocked<4, 4, microkernel_sse2>(
+          ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packa, packb);
+#else
+    case GemmTier::kScalar:
+      return gemm_blocked<4, 4, microkernel_scalar>(
+          ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packa, packb);
+#endif
+    default:
+      MP_ASSERT(false, "dgemm: tier not compiled into this build");
   }
+}
+
+}  // namespace
+
+const char* to_string(GemmTier tier) {
+  switch (tier) {
+    case GemmTier::kScalar:
+      return "scalar";
+    case GemmTier::kSse2:
+      return "sse2";
+    case GemmTier::kAvx2:
+      return "avx2";
+    case GemmTier::kAvx512:
+      return "avx512";
+  }
+  return "?";
+}
+
+GemmTier gemm_tier() {
+  static const GemmTier tier = detect_tier();
+  return tier;
+}
+
+bool gemm_tier_supported(GemmTier tier) {
+#if defined(__x86_64__)
+  return tier != GemmTier::kScalar && tier <= gemm_tier();
+#else
+  return tier == GemmTier::kScalar;
+#endif
+}
+
+void dgemm(char transa, char transb, size_t m, size_t n, size_t k,
+           double alpha, const double* a, size_t lda, const double* b,
+           size_t ldb, double beta, double* c, size_t ldc) {
+  dgemm_impl(gemm_tier(), transa, transb, m, n, k, alpha, a, lda, b, ldb,
+             beta, c, ldc);
+}
+
+void dgemm_on_tier(GemmTier tier, char transa, char transb, size_t m,
+                   size_t n, size_t k, double alpha, const double* a,
+                   size_t lda, const double* b, size_t ldb, double beta,
+                   double* c, size_t ldc) {
+  MP_REQUIRE(gemm_tier_supported(tier), "dgemm: tier not supported here");
+  dgemm_impl(tier, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+             ldc);
 }
 
 void dfill(size_t n, double v, double* x) { std::fill(x, x + n, v); }

@@ -1,9 +1,9 @@
 // Aligned, grow-only workspace buffers and a thread-local workspace pool.
 //
-// The compute kernels (dgemm packing panels, sort_4 tiles, the TCE
-// executors' block staging buffers) need scratch space on every call. A
-// fresh std::vector per call puts an allocator round trip and a page-fault
-// warmup on the hot path; the pool below hands out 64-byte-aligned buffers
+// The compute kernels (dgemm packing panels, the TCE executors' block
+// staging buffers) need scratch space on every call. A fresh std::vector
+// per call puts an allocator round trip and a page-fault warmup on the
+// hot path; the pool below hands out 64-byte-aligned buffers
 // that are owned thread-locally and only ever grow, so steady-state kernel
 // invocations perform zero heap allocations.
 //
@@ -80,7 +80,7 @@ class AlignedBuf {
 /// (e.g. dgemm's A and B panels) never alias each other.
 class WorkspacePool {
  public:
-  static constexpr int kSlots = 8;
+  static constexpr int kSlots = 6;
 
   WorkspacePool() = default;
   ~WorkspacePool() {
@@ -95,12 +95,10 @@ class WorkspacePool {
   enum Slot {
     kGemmPackA = 0,   ///< dgemm packed A block (kMc x kKc)
     kGemmPackB = 1,   ///< dgemm packed B panel (kKc x kNc)
-    kGemmTile = 2,    ///< dgemm edge-tile staging (kMr x kNr)
-    kSortTile = 3,    ///< sort_4 transpose tile
-    kExecA = 4,       ///< executor A block staging
-    kExecB = 5,       ///< executor B block staging
-    kExecC = 6,       ///< executor C accumulator
-    kExecSorted = 7,  ///< executor sorted-output staging
+    kExecA = 2,       ///< executor A block staging
+    kExecB = 3,       ///< executor B block staging
+    kExecC = 4,       ///< executor C accumulator
+    kExecSorted = 5,  ///< executor sorted-output staging
   };
 
   /// The calling thread's pool (created on first use).

@@ -1,11 +1,12 @@
 // Unit + property tests for src/linalg: GEMM against a naive reference over
-// all transpose combinations and a size sweep, sort_4 permutation algebra,
-// and the BLAS-1 helpers.
+// all transpose combinations and a size sweep on every microkernel tier the
+// host supports, sort_4 permutation algebra, and the BLAS-1 helpers.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -42,15 +43,36 @@ std::vector<double> random_vec(size_t n, uint64_t seed) {
   return v;
 }
 
+constexpr GemmTier kAllTiers[] = {GemmTier::kScalar, GemmTier::kSse2,
+                                  GemmTier::kAvx2, GemmTier::kAvx512};
+
+// Every microkernel tier this build compiles and this CPU can run, narrowest
+// first; dgemm() itself runs only the last one. The GEMM tests below loop
+// over all of them so the narrower kernels stay tested on wide hosts.
+std::vector<GemmTier> host_tiers() {
+  std::vector<GemmTier> tiers;
+  for (GemmTier t : kAllTiers) {
+    if (gemm_tier_supported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+// gtest names each case by dumping the parameter's bytes. The padding after
+// the flags is therefore an explicit, zeroed member: implicit padding would
+// put uninitialised bytes into the test names and change them every build.
 struct GemmCase {
   char ta, tb;
+  std::array<char, 6> pad{};
   size_t m, n, k;
 };
+static_assert(sizeof(GemmCase) == 2 + 6 + 3 * sizeof(size_t));
 
 class GemmVsReference : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmVsReference, Matches) {
-  const auto [ta, tb, m, n, k] = GetParam();
+  const GemmCase& p = GetParam();
+  const char ta = p.ta, tb = p.tb;
+  const size_t m = p.m, n = p.n, k = p.k;
   const bool is_ta = (ta == 'T');
   const bool is_tb = (tb == 'T');
   // op(A) is m x k: stored as (m x k) if 'N', (k x m) if 'T'.
@@ -59,28 +81,34 @@ TEST_P(GemmVsReference, Matches) {
   const size_t ldc = m;
   const auto a = random_vec(lda * (is_ta ? m : k), 1);
   const auto b = random_vec(ldb * (is_tb ? k : n), 2);
-  auto c1 = random_vec(ldc * n, 3);
-  auto c2 = c1;
+  const auto c0 = random_vec(ldc * n, 3);
+  auto c2 = c0;
 
   const double alpha = 1.25, beta = -0.5;
-  dgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta, c1.data(),
-        ldc);
   ref_gemm(is_ta, is_tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
            c2.data(), ldc);
-  for (size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_NEAR(c1[i], c2[i], 1e-11) << "at " << i;
+  for (GemmTier tier : host_tiers()) {
+    SCOPED_TRACE(to_string(tier));
+    auto c1 = c0;
+    dgemm_on_tier(tier, ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                  beta, c1.data(), ldc);
+    for (size_t i = 0; i < c1.size(); ++i) {
+      EXPECT_NEAR(c1[i], c2[i], 1e-11) << "at " << i;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllShapes, GemmVsReference,
     ::testing::Values(
-        GemmCase{'N', 'N', 1, 1, 1}, GemmCase{'N', 'N', 5, 7, 3},
-        GemmCase{'N', 'N', 64, 64, 64}, GemmCase{'N', 'N', 65, 63, 129},
-        GemmCase{'T', 'N', 5, 7, 3}, GemmCase{'T', 'N', 64, 48, 130},
-        GemmCase{'N', 'T', 5, 7, 3}, GemmCase{'N', 'T', 33, 65, 17},
-        GemmCase{'T', 'T', 5, 7, 3}, GemmCase{'T', 'T', 70, 70, 70},
-        GemmCase{'T', 'N', 128, 1, 128}, GemmCase{'N', 'N', 1, 128, 128}),
+        GemmCase{'N', 'N', {}, 1, 1, 1}, GemmCase{'N', 'N', {}, 5, 7, 3},
+        GemmCase{'N', 'N', {}, 64, 64, 64},
+        GemmCase{'N', 'N', {}, 65, 63, 129}, GemmCase{'T', 'N', {}, 5, 7, 3},
+        GemmCase{'T', 'N', {}, 64, 48, 130}, GemmCase{'N', 'T', {}, 5, 7, 3},
+        GemmCase{'N', 'T', {}, 33, 65, 17}, GemmCase{'T', 'T', {}, 5, 7, 3},
+        GemmCase{'T', 'T', {}, 70, 70, 70},
+        GemmCase{'T', 'N', {}, 128, 1, 128},
+        GemmCase{'N', 'N', {}, 1, 128, 128}),
     [](const auto& info) {
       const auto& p = info.param;
       return std::string(1, p.ta) + p.tb + "_" + std::to_string(p.m) + "x" +
@@ -122,17 +150,62 @@ TEST(Gemm, AccumulatesAcrossCalls) {
   const size_t m = 12, n = 10, k = 40, pieces = 4;
   const auto a = random_vec(m * k, 6);
   const auto b = random_vec(k * n, 7);
-  std::vector<double> c_chain(m * n, 0.0), c_once(m * n, 0.0);
+  std::vector<double> c_once(m * n, 0.0);
   ref_gemm(false, false, m, n, k, 1.0, a.data(), m, b.data(), k, 1.0,
            c_once.data(), m);
   const size_t kb = k / pieces;
-  for (size_t p = 0; p < pieces; ++p) {
-    dgemm('N', 'N', m, n, kb, 1.0, a.data() + p * kb * m, m,
-          b.data() + p * kb, k, 1.0, c_chain.data(), m);
+  for (GemmTier tier : host_tiers()) {
+    SCOPED_TRACE(to_string(tier));
+    std::vector<double> c_chain(m * n, 0.0);
+    for (size_t p = 0; p < pieces; ++p) {
+      dgemm_on_tier(tier, 'N', 'N', m, n, kb, 1.0, a.data() + p * kb * m, m,
+                    b.data() + p * kb, k, 1.0, c_chain.data(), m);
+    }
+    for (size_t i = 0; i < c_chain.size(); ++i) {
+      EXPECT_NEAR(c_chain[i], c_once[i], 1e-11);
+    }
   }
-  for (size_t i = 0; i < c_chain.size(); ++i) {
-    EXPECT_NEAR(c_chain[i], c_once[i], 1e-11);
+}
+
+TEST(Gemm, DispatchesToTheWidestSupportedTier) {
+  const std::vector<GemmTier> tiers = host_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(gemm_tier(), tiers.back());
+#if defined(__x86_64__)
+  // Independent oracle: what the CPU reports, not what gemm.cpp decided.
+  GemmTier want = GemmTier::kSse2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    want = GemmTier::kAvx2;
   }
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
+    want = GemmTier::kAvx512;
+  }
+  EXPECT_EQ(gemm_tier(), want) << to_string(gemm_tier());
+  EXPECT_FALSE(gemm_tier_supported(GemmTier::kScalar));
+#else
+  EXPECT_EQ(gemm_tier(), GemmTier::kScalar);
+#endif
+  for (GemmTier t : kAllTiers) {
+    if (gemm_tier_supported(t)) continue;
+    std::vector<double> x(1, 1.0);
+    EXPECT_THROW(dgemm_on_tier(t, 'N', 'N', 1, 1, 1, 1.0, x.data(), 1,
+                               x.data(), 1, 0.0, x.data(), 1),
+                 InvalidArgument)
+        << to_string(t);
+  }
+
+  // dgemm() is the selected tier, bit for bit (tiers differ in rounding:
+  // SSE2 multiplies then adds, the wider tiers fuse).
+  const size_t m = 37, n = 29, k = 300;
+  const auto a = random_vec(m * k, 8);
+  const auto b = random_vec(k * n, 9);
+  const auto c0 = random_vec(m * n, 10);
+  auto c_dispatched = c0, c_selected = c0;
+  dgemm('N', 'T', m, n, k, 0.75, a.data(), m, b.data(), n, -0.5,
+        c_dispatched.data(), m);
+  dgemm_on_tier(gemm_tier(), 'N', 'T', m, n, k, 0.75, a.data(), m, b.data(),
+                n, -0.5, c_selected.data(), m);
+  EXPECT_EQ(c_dispatched, c_selected);
 }
 
 TEST(Blas1, DfillSetsAll) {
@@ -318,6 +391,7 @@ TEST(Gemm, ExhaustiveShapeAndScalarSweep) {
   const size_t sizes[] = {1, 3, 7, 17, 63, 65};
   const double scalars[] = {0.0, 1.0, -0.5};
   const char flags[] = {'N', 'T'};
+  const std::vector<GemmTier> tiers = host_tiers();
   for (char ta : flags) {
     for (char tb : flags) {
       for (size_t m : sizes) {
@@ -332,18 +406,105 @@ TEST(Gemm, ExhaustiveShapeAndScalarSweep) {
             const auto c0 = random_vec(m * n, 3000 + m + n + k);
             for (double alpha : scalars) {
               for (double beta : scalars) {
-                std::vector<double> c1 = c0, c2 = c0;
-                dgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
-                      beta, c1.data(), m);
+                std::vector<double> c2 = c0;
                 ref_gemm(ta == 'T', tb == 'T', m, n, k, alpha, a.data(), lda,
                          b.data(), ldb, beta, c2.data(), m);
-                for (size_t i = 0; i < c1.size(); ++i) {
-                  ASSERT_NEAR(c1[i], c2[i], 1e-11)
-                      << ta << tb << " m=" << m << " n=" << n << " k=" << k
-                      << " alpha=" << alpha << " beta=" << beta << " at "
-                      << i;
+                for (GemmTier tier : tiers) {
+                  std::vector<double> c1 = c0;
+                  dgemm_on_tier(tier, ta, tb, m, n, k, alpha, a.data(), lda,
+                                b.data(), ldb, beta, c1.data(), m);
+                  for (size_t i = 0; i < c1.size(); ++i) {
+                    ASSERT_NEAR(c1[i], c2[i], 1e-11)
+                        << to_string(tier) << " " << ta << tb << " m=" << m
+                        << " n=" << n << " k=" << k << " alpha=" << alpha
+                        << " beta=" << beta << " at " << i;
+                  }
                 }
               }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The tier is detected on first use, and the workers of a fresh runtime
+// reach that first dgemm together: every thread must see one tier and
+// compute the same, reference-matching result.
+TEST(Gemm, ConcurrentFirstCallsAgree) {
+  const size_t n = 48;
+  const auto a = random_vec(n * n, 13);
+  const auto b = random_vec(n * n, 14);
+  std::vector<double> want(n * n, 0.0);
+  ref_gemm(false, false, n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
+           want.data(), n);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads,
+                                       std::vector<double>(n * n, 0.0));
+  std::vector<GemmTier> tiers(kThreads, GemmTier::kScalar);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      dgemm('N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
+            got[t].data(), n);
+      tiers[t] = gemm_tier();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tiers[t], tiers[0]);
+    EXPECT_EQ(got[t], got[0]);
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[0][i], want[i], 1e-11) << "at " << i;
+  }
+}
+
+// Shapes that cross the cache blocks kMc=128 (m), kKc=256 (k) and kNc=768
+// (n): the multi-MC-block path, a second KC block that must accumulate
+// onto C after beta was applied once by the first, and a second B panel.
+// 256x36x256 is the t2_7 ladder's own GEMM shape. Leading dimensions are
+// padded so the rows past m must come through untouched.
+TEST(Gemm, CacheBlockEdges) {
+  const struct {
+    size_t m, n, k;
+  } shapes[] = {
+      {129, 7, 257}, {257, 36, 300}, {5, 769, 3}, {256, 36, 256},
+      {131, 770, 513},
+  };
+  const double betas[] = {0.0, 1.0, -0.5};
+  const char flags[] = {'N', 'T'};
+  const size_t pad = 3;
+  const std::vector<GemmTier> tiers = host_tiers();
+  for (const auto& shape : shapes) {
+    const size_t m = shape.m, n = shape.n, k = shape.k;
+    for (char ta : flags) {
+      for (char tb : flags) {
+        const size_t lda = ((ta == 'T') ? k : m) + pad;
+        const size_t ldb = ((tb == 'T') ? n : k) + pad;
+        const size_t ldc = m + pad;
+        const auto a = random_vec(lda * ((ta == 'T') ? m : k), 4000 + m + k);
+        const auto b = random_vec(ldb * ((tb == 'T') ? k : n), 5000 + n + k);
+        const auto c0 = random_vec(ldc * n, 6000 + m + n);
+        for (double beta : betas) {
+          std::vector<double> c2 = c0;
+          ref_gemm(ta == 'T', tb == 'T', m, n, k, 1.25, a.data(), lda,
+                   b.data(), ldb, beta, c2.data(), ldc);
+          for (GemmTier tier : tiers) {
+            std::vector<double> c1 = c0;
+            dgemm_on_tier(tier, ta, tb, m, n, k, 1.25, a.data(), lda,
+                          b.data(), ldb, beta, c1.data(), ldc);
+            for (size_t i = 0; i < c1.size(); ++i) {
+              // Padding rows are never written, so compare them exactly.
+              if (i % ldc >= m) {
+                ASSERT_EQ(c1[i], c0[i]) << "padding row written at " << i;
+                continue;
+              }
+              ASSERT_NEAR(c1[i], c2[i], 1e-10)
+                  << to_string(tier) << " " << ta << tb << " m=" << m
+                  << " n=" << n << " k=" << k << " beta=" << beta << " at "
+                  << i;
             }
           }
         }
@@ -360,17 +521,22 @@ TEST(Gemm, ZeroSteadyStateAllocations) {
   const auto a = random_vec(n * n, 11);
   const auto b = random_vec(n * n, 12);
   std::vector<double> c(n * n, 0.0);
-  // Warm-up sizes the pool slots for this shape.
-  dgemm('N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n);
-  dgemm('T', 'T', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n);
+  for (GemmTier tier : host_tiers()) {
+    SCOPED_TRACE(to_string(tier));
+    // Warm-up sizes the pool slots for this shape.
+    dgemm_on_tier(tier, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
+                  c.data(), n);
+    dgemm_on_tier(tier, 'T', 'T', n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
+                  c.data(), n);
 
-  const uint64_t before = support::WorkspacePool::allocation_count();
-  for (int iter = 0; iter < 1000; ++iter) {
-    dgemm('N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n, 1.0, c.data(),
-          n);
+    const uint64_t before = support::WorkspacePool::allocation_count();
+    for (int iter = 0; iter < 1000; ++iter) {
+      dgemm_on_tier(tier, 'N', 'N', n, n, n, 1.0, a.data(), n, b.data(), n,
+                    1.0, c.data(), n);
+    }
+    EXPECT_EQ(support::WorkspacePool::allocation_count(), before)
+        << "dgemm allocated on the steady-state hot path";
   }
-  EXPECT_EQ(support::WorkspacePool::allocation_count(), before)
-      << "dgemm allocated on the steady-state hot path";
 }
 
 }  // namespace

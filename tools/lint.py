@@ -46,9 +46,17 @@ Checks, each with a stable rule id:
                          tag is the PR 6 livelock class: the message is
                          consumed, no handler runs, and the protocol
                          stalls with no diagnostic.
+  compile-time-isa       No preprocessor test of a vector-ISA macro
+                         (`__AVX*__`, `__FMA__`, `__SSE*__`) under src/
+                         or bench/. The default build targets baseline
+                         x86-64, so such a branch only runs in a -march
+                         build; a kernel picks its ISA at run time instead
+                         (per-function target attributes + a cached
+                         __builtin_cpu_supports check, as in
+                         src/linalg/gemm.cpp).
 
 Exit status: 0 clean, 1 findings, 2 internal error.
-Usage: tools/lint.py [--tidy] [paths...]   (default: src/)
+Usage: tools/lint.py [--tidy] [paths...]   (default: src/ bench/)
 """
 
 import pathlib
@@ -65,6 +73,11 @@ LOCK_RE = re.compile(
     r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b|\.lock\(\)")
 BODY_RE = re.compile(r"\bbody\s*=\s*\[")
 WAIVER = "mp-lint: allow(lock-in-task-body)"
+# A conditional directive (with its backslash continuations) and the
+# vector-ISA macros the compile-time-isa rule forbids it to test.
+PP_COND_RE = re.compile(
+    r"^[ \t]*#[ \t]*(?:if|ifdef|ifndef|elif)\b(?:[^\n]*\\\n)*[^\n]*", re.M)
+ISA_MACRO_RE = re.compile(r"\b__(?:AVX\w*|FMA|SSE\w*)__\b")
 
 
 def strip_comments_and_strings(text):
@@ -150,6 +163,16 @@ def lint_file(path, findings):
                  "tools/lint.py if the dispatch moved)"))
     elif in_src:
         lint_tag_switches(rel, text, code, findings)
+
+    if in_src or "bench" in rel.parts:
+        for m in PP_COND_RE.finditer(code):
+            isa = ISA_MACRO_RE.search(m.group(0))
+            if isa:
+                findings.append(
+                    (rel, line_of(text, m.start()), "compile-time-isa",
+                     f"`{isa.group(0)}` test selects code at compile time; "
+                     "only a -march build reaches it (dispatch at run time "
+                     "instead, see src/linalg/gemm.cpp)"))
 
     if in_src:
         for m in BODY_RE.finditer(code):
@@ -354,7 +377,7 @@ def run_tidy():
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     roots = ([pathlib.Path(a) if pathlib.Path(a).is_absolute() else REPO / a
-              for a in args] if args else [REPO / "src"])
+              for a in args] if args else [REPO / "src", REPO / "bench"])
     files = []
     for root in roots:
         if root.is_file():
