@@ -23,6 +23,7 @@
 #include "linalg/gemm.h"
 #include "linalg/sort4.h"
 #include "ptg/scheduler.h"
+#include "support/stats.h"
 #include "support/timing.h"
 
 using namespace mp;
@@ -174,12 +175,11 @@ int main(int argc, char** argv) {
                         0.0, cref.data(), n);
           },
           flops * 1e-9, std::min(reps, 3), min_sample);
-      bc.ref_median = bench::percentile(ref, 50.0);
+      bc.ref_median = percentile(ref, 50.0);
       std::printf("%-18s %8.2f G %8.2f G %8.2f G %7.2fx\n", bc.name.c_str(),
-                  bench::percentile(bc.samples, 50.0),
-                  bench::percentile(bc.samples, 10.0),
-                  bench::percentile(bc.samples, 90.0),
-                  bench::percentile(bc.samples, 50.0) / bc.ref_median);
+                  percentile(bc.samples, 50.0), percentile(bc.samples, 10.0),
+                  percentile(bc.samples, 90.0),
+                  percentile(bc.samples, 50.0) / bc.ref_median);
       report.add(std::move(bc));
     }
   }
@@ -220,12 +220,11 @@ int main(int argc, char** argv) {
                                      0.5);
           },
           bytes * 1e-9, std::min(reps, 3), min_sample);
-      bc.ref_median = bench::percentile(ref, 50.0);
+      bc.ref_median = percentile(ref, 50.0);
       std::printf("%-18s %8.2f GB %7.2f GB %7.2f GB %7.2fx\n",
-                  bc.name.c_str(), bench::percentile(bc.samples, 50.0),
-                  bench::percentile(bc.samples, 10.0),
-                  bench::percentile(bc.samples, 90.0),
-                  bench::percentile(bc.samples, 50.0) / bc.ref_median);
+                  bc.name.c_str(), percentile(bc.samples, 50.0),
+                  percentile(bc.samples, 10.0), percentile(bc.samples, 90.0),
+                  percentile(bc.samples, 50.0) / bc.ref_median);
       report.add(std::move(bc));
     }
   }
@@ -254,9 +253,8 @@ int main(int argc, char** argv) {
         },
         2.0 * kBurst * 1e-6, reps, min_sample);
     std::printf("%-18s %8.2f M %8.2f M %8.2f M %8s\n", bc.name.c_str(),
-                bench::percentile(bc.samples, 50.0),
-                bench::percentile(bc.samples, 10.0),
-                bench::percentile(bc.samples, 90.0), "-");
+                percentile(bc.samples, 50.0), percentile(bc.samples, 10.0),
+                percentile(bc.samples, 90.0), "-");
     report.add(std::move(bc));
   }
 

@@ -1,21 +1,12 @@
 #include "bench_report.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
-namespace mp::bench {
+#include "support/stats.h"
 
-double percentile(std::vector<double> samples, double pct) {
-  if (samples.empty()) return std::nan("");
-  std::sort(samples.begin(), samples.end());
-  const double idx = pct / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
+namespace mp::bench {
 
 void BenchReport::set_schema(const std::string& schema) { schema_ = schema; }
 

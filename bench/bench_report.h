@@ -39,10 +39,6 @@ struct BenchCase {
   std::map<std::string, long> params;
 };
 
-/// Percentile (0..100) of a sample set by linear interpolation between
-/// order statistics. The input need not be sorted.
-double percentile(std::vector<double> samples, double pct);
-
 class BenchReport {
  public:
   /// Override the document's schema tag (default "mp-bench-kernels-v1");

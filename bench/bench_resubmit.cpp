@@ -38,6 +38,7 @@
 #include "bench_report.h"
 #include "ga/global_array.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "tce/block_tensor.h"
 #include "tce/inspector.h"
 #include "tce/ptg_exec.h"
@@ -261,15 +262,14 @@ int main(int argc, char** argv) {
 
   const Timings t = measure(quick ? 3 : 7, quick ? 7 : 15);
 
-  const double inspect = mp::bench::percentile(t.inspect_ms, 50.0);
-  const double build = mp::bench::percentile(t.build_x8_ms, 50.0);
-  const double cold_ovh = mp::bench::percentile(t.cold_overhead_ms, 50.0);
-  const double steady_ovh =
-      mp::bench::percentile(t.steady_overhead_ms, 50.0);
+  const double inspect = mp::percentile(t.inspect_ms, 50.0);
+  const double build = mp::percentile(t.build_x8_ms, 50.0);
+  const double cold_ovh = mp::percentile(t.cold_overhead_ms, 50.0);
+  const double steady_ovh = mp::percentile(t.steady_overhead_ms, 50.0);
   const double cold_total = inspect + build + cold_ovh;
   const double overhead_ratio =
       steady_ovh > 0.0 ? cold_total / steady_ovh : 0.0;
-  const double cold_iter = mp::bench::percentile(t.cold_iteration_ms, 50.0);
+  const double cold_iter = mp::percentile(t.cold_iteration_ms, 50.0);
   // The acceptance ratio: what one steady-state submission costs in
   // non-compute overhead vs what the cold first iteration cost.
   const double ratio = steady_ovh > 0.0 ? cold_iter / steady_ovh : 0.0;
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
   report.add(
       make_case("cold_iteration_full", t.cold_iteration_ms));
   report.add(make_case("steady_iteration_full", t.steady_iteration_ms,
-                       mp::bench::percentile(t.cold_iteration_ms, 50.0)));
+                       mp::percentile(t.cold_iteration_ms, 50.0)));
 
   std::string why;
   if (!report.validate(&why)) {
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
   std::printf(
       "full t2_7 iteration: cold %.3f ms, steady %.3f ms; "
       "steady overhead vs cold first iteration = %.1fx\n",
-      cold_iter, mp::bench::percentile(t.steady_iteration_ms, 50.0), ratio);
+      cold_iter, mp::percentile(t.steady_iteration_ms, 50.0), ratio);
 
   if (smoke && ratio < 10.0) {
     std::fprintf(stderr,

@@ -6,6 +6,24 @@
 
 namespace mp::cc {
 
+namespace {
+
+/// The executor options a kPtg ladder run asks for, shared by the
+/// persistent-session and rebuild-every-call paths.
+tce::PtgExecOptions exec_options(const LadderRunOptions& opts) {
+  tce::PtgExecOptions popts;
+  popts.variant = opts.variant;
+  popts.policy = opts.policy;
+  popts.workers_per_rank = opts.workers_per_rank;
+  popts.enable_tracing = opts.enable_tracing;
+  popts.enable_stealing = opts.enable_stealing;
+  popts.enable_failure_detection = opts.enable_failure_detection;
+  popts.on_rank_failure = opts.on_rank_failure;
+  return popts;
+}
+
+}  // namespace
+
 DistributedLadder::DistributedLadder(const SpinOrbitalSystem& sys,
                                      int tile_size, int nranks)
     : sys_(&sys) {
@@ -97,15 +115,6 @@ const char* DistributedLadder::subroutine_name(Contraction c) {
 }
 
 tce::PtgSession& DistributedLadder::session_for(const LadderRunOptions& opts) {
-  tce::PtgExecOptions popts;
-  popts.variant = opts.variant;
-  popts.policy = opts.policy;
-  popts.workers_per_rank = opts.workers_per_rank;
-  popts.enable_tracing = opts.enable_tracing;
-  popts.enable_stealing = opts.enable_stealing;
-  popts.enable_failure_detection = opts.enable_failure_detection;
-  popts.on_rank_failure = opts.on_rank_failure;
-
   // Sessions are keyed by everything that shapes the runtime, not just the
   // template: two runs with the same graph but different scheduler policy
   // or worker count need different persistent Contexts.
@@ -136,8 +145,8 @@ tce::PtgSession& DistributedLadder::session_for(const LadderRunOptions& opts) {
   auto it = sessions_.find(skey);
   if (it == sessions_.end()) {
     it = sessions_
-             .emplace(skey, std::make_unique<tce::PtgSession>(*cluster_, tpl,
-                                                              popts))
+             .emplace(skey, std::make_unique<tce::PtgSession>(
+                                *cluster_, tpl, exec_options(opts)))
              .first;
   }
   return *it->second;
@@ -210,14 +219,7 @@ LadderRunResult DistributedLadder::run(const std::vector<double>& tau,
           merge(res);
         }
       } else {
-        tce::PtgExecOptions popts;
-        popts.variant = opts.variant;
-        popts.policy = opts.policy;
-        popts.workers_per_rank = opts.workers_per_rank;
-        popts.enable_tracing = opts.enable_tracing;
-        popts.enable_stealing = opts.enable_stealing;
-        popts.enable_failure_detection = opts.enable_failure_detection;
-        popts.on_rank_failure = opts.on_rank_failure;
+        const tce::PtgExecOptions popts = exec_options(opts);
         cluster_->run([&](vc::RankCtx& rctx) {
           merge(tce::execute_ptg(rctx, the_plan, storage, popts));
         });

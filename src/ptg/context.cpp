@@ -17,6 +17,32 @@ namespace mp::ptg {
 
 using namespace std::chrono_literals;
 
+namespace {
+
+/// Max tasks migrated per STEAL_REPLY (the victim also never gives away
+/// more than half of its ready queue).
+constexpr size_t kStealMaxBatch = 16;
+/// Seed for randomized victim selection (mixed with the rank id).
+constexpr uint64_t kStealSeed = 0x57ea15eed5ULL;
+/// Watchdog deadline floor, as a multiple of the base timeout, while a
+/// rank is locally complete and waits for the global JOB_DONE: global
+/// termination can legitimately trail the slowest rank's tail by a long
+/// way.
+constexpr double kWatchdogGlobalScale = 8.0;
+
+bool env_verify_enabled() {
+  const char* e = std::getenv("MP_VERIFY");
+  return e != nullptr && *e != '\0' && std::string(e) != "0";
+}
+
+/// Clears a serial-entry flag when the guarded call returns or unwinds.
+struct ClearOnExit {
+  std::atomic<bool>& flag;
+  ~ClearOnExit() { flag.store(false); }
+};
+
+}  // namespace
+
 Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts)
     : rctx_(rank_ctx),
       pool_(pool),
@@ -27,7 +53,7 @@ Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts)
   sched_ = Scheduler::create(opts_.policy, opts_.num_workers);
   worker_events_.resize(static_cast<size_t>(opts_.num_workers));
   load_hints_.assign(static_cast<size_t>(nranks()), -1);
-  steal_rng_ = Rng(opts_.steal_seed ^
+  steal_rng_ = Rng(kStealSeed ^
                    (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(rank() + 1)));
   if (rank() == 0) {
     rank_done_seen_.assign(static_cast<size_t>(nranks()), 0);
@@ -90,21 +116,6 @@ std::vector<analysis::Diag> Context::validate_plan() const {
   return analysis::verify_graph(pool_, nranks());
 }
 
-namespace {
-
-bool env_verify_enabled() {
-  const char* e = std::getenv("MP_VERIFY");
-  return e != nullptr && *e != '\0' && std::string(e) != "0";
-}
-
-}  // namespace
-
-double Context::effective_priority(const TaskClass& c,
-                                   const Params& p) const {
-  if (!opts_.use_priorities || !c.priority) return 0.0;
-  return c.priority(p);
-}
-
 void Context::enumerate_startup() {
   for (size_t ci = 0; ci < pool_.num_classes(); ++ci) {
     const TaskClass& c = pool_.cls(static_cast<int16_t>(ci));
@@ -137,7 +148,8 @@ ReadyTask Context::build_task(const TaskKey& key,
   t.key = key;
   t.inputs = std::move(inputs);
   t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  t.priority = effective_priority(pool_.cls(key.cls), key.p);
+  const TaskClass& c = pool_.cls(key.cls);
+  t.priority = c.priority ? c.priority(key.p) : 0.0;
   return t;
 }
 
@@ -471,8 +483,7 @@ void Context::serve_steal_request(const vc::Message& msg) {
   std::vector<ReadyTask> batch;
   const size_t avail = sched_->size();
   if (!done_.load(std::memory_order_acquire) && avail >= 2) {
-    const size_t want = std::min<size_t>(
-        avail / 2, static_cast<size_t>(opts_.steal_max_batch));
+    const size_t want = std::min<size_t>(avail / 2, kStealMaxBatch);
     std::vector<ReadyTask> popped, keep;
     sched_->harvest(popped, want);
     for (auto& t : popped) {
@@ -980,7 +991,7 @@ double Context::watchdog_deadline_ms() const {
     // Locally complete, waiting for the global JOB_DONE: that can trail
     // the slowest rank's tail arbitrarily; be patient before declaring a
     // lost control message.
-    scale = std::max(scale, opts_.watchdog_global_scale);
+    scale = std::max(scale, kWatchdogGlobalScale);
   }
   return opts_.watchdog_timeout_ms * scale;
 }
@@ -1323,24 +1334,22 @@ void Context::comm_loop() {
 }
 
 Context::~Context() {
-  if (!threads_started_) return;
   {
     std::lock_guard lock(submit_mu_);
     shutdown_ = true;
   }
   submit_cv_.notify_all();
-  for (auto& t : persistent_workers_) {
+  for (auto& t : workers_) {
     if (t.joinable()) t.join();
   }
   if (comm_thread_.joinable()) comm_thread_.join();
 }
 
-void Context::start_persistent_threads() {
-  if (threads_started_) return;
-  threads_started_ = true;
-  comm_thread_ = std::thread([this] { persistent_comm_main(); });
+void Context::start_threads() {
+  if (comm_thread_.joinable()) return;
+  comm_thread_ = std::thread([this] { comm_main(); });
   for (int w = 1; w < opts_.num_workers; ++w) {
-    persistent_workers_.emplace_back([this, w] { persistent_worker_main(w); });
+    workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
@@ -1364,7 +1373,7 @@ void Context::wait_comm_parked() {
   submit_cv_.wait(lock, [&] { return comm_parked_; });
 }
 
-void Context::persistent_worker_main(int wid) {
+void Context::worker_main(int wid) {
   uint64_t seen = 0;
   while (true) {
     {
@@ -1382,7 +1391,7 @@ void Context::persistent_worker_main(int wid) {
   }
 }
 
-void Context::persistent_comm_main() {
+void Context::comm_main() {
   uint64_t seen = 0;
   while (true) {
     {
@@ -1421,9 +1430,8 @@ void Context::reset_for_resubmission() {
 void Context::reset_local_state(uint64_t submission) {
   // ---- stats discipline first: snapshot every counter pair with its
   // acquire-ordered reader and validate, BEFORE any counter below is zeroed
-  // (tools/lint.py: reset-stats-discipline). A persistent Context must
-  // never carry an inconsistent pair — or a torn one — into the next
-  // submission.
+  // (tools/lint.py: reset-stats-discipline). A Context must never carry
+  // an inconsistent pair — or a torn one — into the next submission.
   if (!prev_submission_errored_) {
     const StealStats steal_snap = steal_stats();
     const std::string steal_bad = steal_snap.validate();
@@ -1552,66 +1560,46 @@ void Context::reset_local_state(uint64_t submission) {
 }
 
 void Context::run() {
-  if (opts_.persistent) {
-    MP_REQUIRE(!killed_.load(std::memory_order_acquire),
-               "Context::run: this rank was crash-injected; a killed Context "
-               "cannot be resubmitted (std::barrier drop is permanent)");
-    MP_REQUIRE(!running_.exchange(true),
-               "Context::run: concurrent run() on one Context");
-    struct Guard {
-      std::atomic<bool>& flag;
-      ~Guard() { flag.store(false); }
-    } guard{running_};
-    if (needs_reset_) reset_for_resubmission();
-    // Mark dirty *before* running: if run_submission unwinds (watchdog,
-    // task error, abort broadcast) the next submission must still reset —
-    // that unwind is collective across live ranks, so they all will.
-    needs_reset_ = true;
-    prev_submission_errored_ = true;
-    run_submission();
-    prev_submission_errored_ = false;
-    runs_completed_.fetch_add(1, std::memory_order_release);
-    return;
-  }
-  MP_REQUIRE(!ran_.exchange(true), "Context::run may only be called once");
+  MP_REQUIRE(!killed_.load(std::memory_order_acquire),
+             "Context::run: this rank was crash-injected; a killed Context "
+             "cannot be resubmitted (std::barrier drop is permanent)");
+  MP_REQUIRE(!running_.exchange(true),
+             "Context::run: concurrent run() on one Context");
+  const ClearOnExit guard{running_};
+  if (needs_reset_) reset_for_resubmission();
+  // Mark dirty *before* running: if run_submission unwinds (watchdog,
+  // task error, abort broadcast) the next submission must still reset —
+  // that unwind is collective across live ranks, so they all will.
+  needs_reset_ = true;
+  prev_submission_errored_ = true;
   run_submission();
+  prev_submission_errored_ = false;
   runs_completed_.fetch_add(1, std::memory_order_release);
 }
 
 void Context::run_submission() {
   // Pre-execution graph verification (mp-verify pass 1). The graph is the
   // same on every rank, so rank 0 checks it for the whole job; a malformed
-  // graph fails fast here instead of silently corrupting results. In
-  // persistent mode the pass runs once per Context — the pool and cluster
-  // size are fixed for its lifetime — and a template that was already
-  // verified at cache-build time skips it entirely (assume_verified).
+  // graph fails fast here instead of silently corrupting results. The pass
+  // runs once per Context — the pool and cluster size are fixed for its
+  // lifetime — and a template that was already verified at cache-build
+  // time skips it entirely (assume_verified).
   if (rank() == 0 && env_verify_enabled() && !opts_.assume_verified &&
       !verified_once_) {
     verified_once_ = true;
     const auto diags = validate_plan();
     if (!diags.empty()) {
-      StateError err("MP_VERIFY: task graph failed static verification; " +
-                     analysis::render(diags));
-      if (opts_.persistent) {
-        // Unwind collectively: record_error broadcasts the abort, every
-        // rank's threads drain out, and all live ranks meet the error
-        // path's barrier below before rethrowing — the Context (and the
-        // cluster's barrier) stay usable for a corrected resubmission.
-        try {
-          throw err;
-        } catch (...) {
-          record_error(err.what());
-        }
-      } else {
-        // The other ranks are already entering their comm loops; without an
-        // abort broadcast they would sit out their full watchdog timeout
-        // waiting for activations this rank will never send.
-        if (!abort_broadcast_.exchange(true)) {
-          for (int r = 0; r < nranks(); ++r) {
-            if (r != rank()) rctx_.send(r, kTagAbort, {});
-          }
-        }
-        throw err;
+      // Unwind collectively: record_error broadcasts the abort, every
+      // rank's threads drain out, and all live ranks meet the error path's
+      // barrier below before rethrowing — the Context (and the cluster's
+      // barrier) stay usable for a corrected resubmission.
+      const std::string why =
+          "MP_VERIFY: task graph failed static verification; " +
+          analysis::render(diags);
+      try {
+        throw StateError(why);
+      } catch (...) {
+        record_error(why);
       }
     }
   }
@@ -1628,32 +1616,17 @@ void Context::run_submission() {
     done_.store(true);
   }
 
-  if (!opts_.persistent) {
-    std::thread comm([this] { comm_loop(); });
-    std::vector<std::thread> workers;
-    for (int w = 1; w < opts_.num_workers; ++w) {
-      workers.emplace_back([this, w] { worker_loop(w); });
-    }
-    if (!done_.load()) {
-      worker_loop(0);  // the calling thread is worker 0
-    }
-    for (auto& t : workers) t.join();
-
-    comm_stop_.store(true, std::memory_order_release);
-    comm.join();
-  } else {
-    // Steady-state resubmission: no thread churn. The long-lived threads
-    // (spawned once, on the first submission) are parked on the submission
-    // epoch; arming wakes them straight into their loops.
-    start_persistent_threads();
-    arm_submission();
-    if (!done_.load()) {
-      worker_loop(0);  // the calling thread is still worker 0
-    }
-    wait_workers_parked();
-    comm_stop_.store(true, std::memory_order_release);
-    wait_comm_parked();
+  // No thread churn: the long-lived threads (spawned once, on the first
+  // submission) are parked on the submission epoch; arming wakes them
+  // straight into their loops.
+  start_threads();
+  arm_submission();
+  if (!done_.load()) {
+    worker_loop(0);  // the calling thread is worker 0
   }
+  wait_workers_parked();
+  comm_stop_.store(true, std::memory_order_release);
+  wait_comm_parked();
 
   if (killed_.load(std::memory_order_acquire)) {
     // This rank was crash-injected: stay silent. No rethrow, no result
@@ -1687,7 +1660,7 @@ void Context::run_submission() {
 }
 
 bool Context::try_reset_in_band() {
-  // Steady-state fast path: after a *clean* persistent run on a fabric
+  // Steady-state fast path: after a *clean* run on a fabric
   // that has never been able to disturb or delay a message, the closing
   // barrier already proves the mailbox is final — every send was delivered
   // synchronously before its sender reached the barrier, and with
@@ -1697,17 +1670,13 @@ bool Context::try_reset_in_band() {
   // barriers: the caller (PtgSession) orders it before the next
   // submission by its own all-ranks completion rendezvous. This turns the
   // three collectives of the lazy reset-then-run sequence into one.
-  if (!opts_.persistent) return false;
   if (!needs_reset_ || prev_submission_errored_) return false;
   if (killed_.load(std::memory_order_acquire)) return false;
   if (stealing_active() || failure_active()) return false;
   if (!rctx_.cluster().fabric().lossless_immediate()) return false;
   MP_REQUIRE(!running_.exchange(true),
              "Context::try_reset_in_band: concurrent with run()");
-  struct Guard {
-    std::atomic<bool>& flag;
-    ~Guard() { flag.store(false); }
-  } guard{running_};
+  const ClearOnExit guard{running_};
   reset_local_state(runs_completed_.load(std::memory_order_relaxed));
   needs_reset_ = false;
   return true;

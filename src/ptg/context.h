@@ -9,7 +9,7 @@
 // Dataflow Runtime"): when the local queues run dry it picks a victim —
 // randomized, biased by load hints piggybacked on every activation and
 // steal message — and sends a STEAL_REQUEST. The victim harvests up to
-// half of its ready tasks (capped at steal_max_batch, skipping classes
+// half of its ready tasks (capped at a fixed batch size, skipping classes
 // marked non-migratable) and ships them, input buffers included, in a
 // STEAL_REPLY. Because migrated tasks execute on a foreign rank,
 // termination switches to a credit scheme: the thief sends one CREDIT per
@@ -23,6 +23,9 @@
 //   Taskpool pool;  ... add classes ...
 //   Context ctx(rank_ctx, pool, opts);
 //   ctx.run();      // collective; returns when the whole DAG has executed
+//   ctx.run();      // optional: executes the whole DAG again
+// The first run() spawns the rank's comm and worker threads; they park
+// between runs and are joined by the destructor.
 #pragma once
 
 #include <atomic>
@@ -73,8 +76,9 @@ class MigrationObserver {
 
 struct Options {
   int num_workers = 2;            ///< compute threads per rank
+  /// Ready-queue order. Priorities come from the graph: instances of a
+  /// class without a priority function schedule at 0 (the paper's v2).
   SchedPolicy policy = SchedPolicy::kPriority;
-  bool use_priorities = true;     ///< false reproduces the paper's v2
   bool enable_tracing = false;    ///< record TraceEvents for Figs. 10-13
   /// If no local progress happens for this long while tasks are still
   /// outstanding (e.g. an activation was lost in the fabric), run() raises
@@ -87,16 +91,9 @@ struct Options {
   /// Deadline scale per locally-outstanding task, clamped at 32 tasks:
   /// deadline = timeout * (1 + scale * min(outstanding, 32)).
   double watchdog_scale_per_task = 1.0;
-  /// Deadline multiplier while this rank is locally complete but waiting
-  /// for the global JOB_DONE (stealing runs only): global termination can
-  /// legitimately trail the slowest rank's tail by a long way.
-  double watchdog_global_scale = 8.0;
 
   // -- inter-node work stealing (no effect on single-rank jobs) --
   bool enable_stealing = false;
-  /// Max tasks migrated per STEAL_REPLY (the victim also never gives away
-  /// more than half of its ready queue).
-  int steal_max_batch = 16;
   /// Minimum interval between two steal requests from this rank.
   double steal_cooldown_ms = 1.0;
   /// Extra wait after an empty reply before trying the next victim.
@@ -107,8 +104,6 @@ struct Options {
   /// Re-send interval for the local-done report / JOB_DONE replay, making
   /// the termination protocol robust to dropped control messages.
   double termination_resend_ms = 250.0;
-  /// Seed for randomized victim selection (mixed with the rank id).
-  uint64_t steal_seed = 0x57ea15eed5ULL;
   /// Optional ownership-transfer recorder (see MigrationObserver). Not
   /// owned; must outlive run().
   MigrationObserver* migration_observer = nullptr;
@@ -145,17 +140,6 @@ struct Options {
   /// always tolerates exactly one.
   int retry_limit = 1;
 
-  // -- persistent runtime (template-cached resubmission path, DESIGN.md §11)
-
-  /// Keep the worker and comm threads alive across run() calls: run() may
-  /// be invoked repeatedly on the same Context, and every call after the
-  /// first starts with a collective between-runs reset (dependency counters
-  /// re-armed, stats pairs validated then drained, mailbox dedup windows
-  /// rebased, lineage logs and recovery state cleared). Threads park on a
-  /// submission epoch between runs instead of being joined, so a steady-
-  /// state submission pays no thread spin-up. All ranks of the job must
-  /// agree on this flag — the reset contains barriers, like run() itself.
-  bool persistent = false;
   /// The taskpool's graph was already verified for this cluster size (the
   /// template cache runs mp-verify once when a template is built): skip the
   /// MP_VERIFY pass entirely, even on the first submission.
@@ -233,30 +217,35 @@ class Context {
   static constexpr int kTagHeartbeat = kWireHeartbeat;
 
   Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts = {});
-  /// Persistent mode: parks are woken for shutdown and the long-lived
-  /// threads are joined. One-shot mode: no threads outlive run(); no-op.
+  /// Wakes the parked comm and worker threads for shutdown and joins them
+  /// (no threads exist if run() was never called).
   ~Context();
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
   /// Execute the PTG to completion. Collective across ranks (ends with a
-  /// barrier). May be called once per Context — or repeatedly with
-  /// Options::persistent, where each call after the first begins with the
-  /// collective between-runs reset and reuses the parked threads. When the
-  /// MP_VERIFY environment variable is set (to anything but "0"), rank 0
-  /// first runs validate_plan() and the whole job aborts with a StateError
-  /// carrying the diagnostics if the graph is malformed; in persistent mode
-  /// the pass runs once per Context (the graph and cluster size cannot
-  /// change) and Options::assume_verified elides it altogether.
+  /// barrier); the calling thread is worker 0. The first call spawns the
+  /// comm and the other worker threads, which park on a submission epoch
+  /// when the run ends. run() may be called again to execute the whole
+  /// graph once more on the parked threads: each later call first performs
+  /// the between-runs reset — nothing if try_reset_in_band() already did
+  /// it, else the collective quiesce-and-drain reset — so every rank must
+  /// make the same number of calls. A run that unwinds with an error
+  /// leaves the Context usable for the next one. When the MP_VERIFY
+  /// environment variable is set (to anything but "0"), rank 0 runs
+  /// validate_plan() on the first call (the graph and cluster size cannot
+  /// change) and a malformed graph unwinds the whole job with a StateError
+  /// carrying the diagnostics; Options::assume_verified skips the pass.
   void run();
 
   /// Per-submission state observed (and cleared) by the most recent
-  /// between-runs reset — persistent mode only. Sizes are captured before
-  /// clearing, so tests can assert nothing leaks across submissions: after
-  /// a clean (no-fault) run, every field except `submission` and
-  /// `lineage_entries`/`activated_keys` (which bound the documented
-  /// O(activations) retention to exactly one submission) must be zero.
+  /// between-runs reset (all zero until the first reset). Sizes are
+  /// captured before clearing, so tests can assert nothing leaks across
+  /// submissions: after a clean (no-fault) run, every field except
+  /// `submission` and `lineage_entries`/`activated_keys` (which bound the
+  /// documented O(activations) retention to exactly one submission) must
+  /// be zero.
   struct ResetReport {
     uint64_t submission = 0;      ///< 1-based index of the finished run
     size_t pending_deposits = 0;  ///< task instances still awaiting inputs
@@ -270,12 +259,12 @@ class Context {
   };
   const ResetReport& last_reset_report() const { return reset_report_; }
 
-  /// Persistent-mode steady-state fast path: perform the between-runs
-  /// reset right now, with no collectives, if it is provably safe — the
-  /// previous run() completed cleanly, stealing and failure detection are
-  /// off, and the fabric is Fabric::lossless_immediate() (so the closing
-  /// barrier already proved the mailbox final and nothing can straggle
-  /// in). Returns true if the reset ran; false means the next run() will
+  /// Steady-state fast path: perform the between-runs reset right now,
+  /// with no collectives, if it is provably safe — the previous run()
+  /// completed cleanly, stealing and failure detection are off, and the
+  /// fabric is Fabric::lossless_immediate() (so the closing barrier
+  /// already proved the mailbox final and nothing can straggle in).
+  /// Returns true if the reset ran; false means the next run() will
   /// fall back to the collective quiesce-and-drain reset. The caller must
   /// order this before any rank begins the next submission (PtgSession
   /// does so via its all-ranks completion rendezvous) and must call it
@@ -348,17 +337,16 @@ class Context {
   static constexpr int kShards = 16;
 
   void enumerate_startup();
-  /// One full submission: verify (if due), enumerate, execute, unwind.
-  /// Shared by the one-shot and persistent paths; only thread management
-  /// differs (spawn+join vs wake-parked+wait-parked).
+  /// One full submission: verify (if due), enumerate, wake the parked
+  /// threads, execute as worker 0, wait for them to park again, unwind.
   void run_submission();
-  /// Persistent mode, collective: restore every piece of per-submission
-  /// state to its freshly-constructed value between two run() calls. Must
-  /// only run while all of this rank's threads are parked and after the
-  /// previous run's closing barrier. Snapshots + validates all stats pairs
-  /// BEFORE zeroing any counter (lint: reset-stats-discipline), quiesces
-  /// the fabric (rank 0) and drains/rebases the mailbox between barriers,
-  /// and records what it cleared in last_reset_report().
+  /// Collective: restore every piece of per-submission state to its
+  /// freshly-constructed value between two run() calls. Must only run
+  /// while all of this rank's threads are parked and after the previous
+  /// run's closing barrier. Snapshots + validates all stats pairs BEFORE
+  /// zeroing any counter (lint: reset-stats-discipline), quiesces the
+  /// fabric (rank 0) and drains/rebases the mailbox between barriers, and
+  /// records what it cleared in last_reset_report().
   void reset_for_resubmission();
   /// The local (non-collective) body of the reset: stats validation, state
   /// clears, counter re-arm, mailbox drain + window rebase. Requires all of
@@ -368,19 +356,19 @@ class Context {
   /// from a clean run on a Fabric::lossless_immediate() fabric.
   /// `submission` is recorded in last_reset_report().
   void reset_local_state(uint64_t submission);
-  /// Persistent mode: spawn the long-lived comm + worker threads (first
-  /// submission only; idempotent).
-  void start_persistent_threads();
-  /// Persistent mode: publish a new submission epoch and wake every parked
-  /// thread into its loop.
+  /// Spawn the long-lived comm + worker threads (first submission only;
+  /// idempotent).
+  void start_threads();
+  /// Publish a new submission epoch and wake every parked thread into its
+  /// loop.
   void arm_submission();
-  /// Persistent mode: block until all parked (workers / comm).
+  /// Block until all parked (workers / comm).
   void wait_workers_parked();
   void wait_comm_parked();
   /// Long-lived thread bodies: wait for an epoch (or shutdown), run the
   /// corresponding loop, park, repeat.
-  void persistent_worker_main(int wid);
-  void persistent_comm_main();
+  void worker_main(int wid);
+  void comm_main();
   /// Capture current exception, force shutdown. `reason` (when non-empty)
   /// rides in the abort broadcast so peers raise a StateError naming the
   /// real cause instead of a generic "task failure on rank N".
@@ -461,7 +449,6 @@ class Context {
   void make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
                   int worker_hint);
   void execute_task(ReadyTask t, int wid);
-  double effective_priority(const TaskClass& c, const Params& p) const;
   double now() const {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - epoch_)
@@ -480,7 +467,6 @@ class Context {
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> seq_{0};
   std::atomic<bool> done_{false};
-  std::atomic<bool> ran_{false};
 
   std::mutex error_mu_;
   std::exception_ptr first_error_;
@@ -598,9 +584,9 @@ class Context {
   std::vector<TraceEvent> comm_events_;
   Trace trace_;
 
-  // -- persistent-mode machinery (Options::persistent) --
-  /// Serial-entry guard for run() in persistent mode (ran_ stays the
-  /// one-shot guard); also trips if run() is re-entered while running.
+  // -- submission lifecycle (threads parked between runs) --
+  /// Serial-entry guard: trips if run() is re-entered while running or
+  /// overlaps try_reset_in_band().
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> runs_completed_{0};
   /// A submission has run (even one that unwound), so the next run() must
@@ -609,9 +595,8 @@ class Context {
   /// The last submission unwound with an error: its counter pairs are
   /// legitimately torn, so the next reset skips the strict validation.
   bool prev_submission_errored_ = false;
-  /// MP_VERIFY ran for this Context (persistent: once per template epoch).
+  /// MP_VERIFY ran for this Context (once: its pool and cluster are fixed).
   bool verified_once_ = false;
-  bool threads_started_ = false;
   /// submit_mu_ guards the park/wake handshake: epoch, park counts and the
   /// shutdown flag. One CV serves arming (run -> threads) and parking
   /// (threads -> run) — contention is nil, transitions are rare.
@@ -622,7 +607,7 @@ class Context {
   bool comm_parked_ = false;
   bool shutdown_ = false;
   std::thread comm_thread_;
-  std::vector<std::thread> persistent_workers_;
+  std::vector<std::thread> workers_;
   ResetReport reset_report_;
 };
 

@@ -420,6 +420,13 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
         }
       };
 
+  // A variant without priorities (the paper's v2) leaves every class
+  // without a priority function, so all its instances schedule at 0.
+  if (!var.priorities) {
+    for (size_t i = 0; i < pool.num_classes(); ++i) {
+      pool.mutable_cls(static_cast<int16_t>(i)).priority = nullptr;
+    }
+  }
   return b;
 }
 

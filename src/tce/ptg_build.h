@@ -32,12 +32,14 @@ struct PtgBuild {
   PtgClassIds ids;
 };
 
-/// Construct the PTG for `plan` under `variant` on `nranks` ranks. The
+/// Construct the PTG for `plan` under `variant` on `nranks` ranks. Classes
+/// carry the paper's priority functions (PriorityScheme) unless the
+/// variant disables priorities, in which case they carry none. The
 /// returned taskpool's lambdas capture `plan` and `stores` by reference:
 /// both must outlive the taskpool (and any Context running it). Prefer
 /// PtgTemplate (tce/template_cache.h), which owns both and removes the
-/// lifetime hazard — this raw entry point remains for the one-shot
-/// executor and the static verifier.
+/// lifetime hazard — this raw entry point remains for execute_ptg, which
+/// keeps both alive for exactly one call, and the static verifier.
 PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
                    const VariantConfig& variant, int nranks);
 

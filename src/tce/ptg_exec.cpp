@@ -1,8 +1,6 @@
 #include "tce/ptg_exec.h"
 
-#include "support/error.h"
 #include "tce/ptg_build.h"
-#include "tce/template_cache.h"
 
 namespace mp::tce {
 
@@ -10,11 +8,8 @@ ptg::Options runtime_options(const PtgExecOptions& opts) {
   ptg::Options ropts;
   ropts.num_workers = opts.workers_per_rank;
   ropts.policy = opts.policy;
-  ropts.use_priorities = opts.variant.priorities;
   ropts.enable_tracing = opts.enable_tracing;
   ropts.enable_stealing = opts.enable_stealing;
-  ropts.steal_max_batch = opts.steal_max_batch;
-  ropts.migration_observer = opts.ledger;
   ropts.enable_failure_detection = opts.enable_failure_detection;
   ropts.on_rank_failure = opts.on_rank_failure;
   ropts.retry_limit = opts.retry_limit;
@@ -45,33 +40,13 @@ PtgExecResult result_from_context(const ptg::Context& ctx,
 PtgExecResult execute_ptg(vc::RankCtx& rctx, const ChainPlan& plan,
                           const StoreList& stores,
                           const PtgExecOptions& opts) {
-  ptg::Options ropts = runtime_options(opts);
-
-  // Template-cache fast path: the pool is already materialized (and, when
-  // MP_VERIFY was set at build time, already statically verified once for
-  // this key) — the per-call build below is skipped entirely. The caller
-  // re-bound the template to `stores` before entering the SPMD region.
-  if (opts.tpl != nullptr) {
-    MP_REQUIRE(opts.tpl->key().nranks == rctx.nranks(),
-               "execute_ptg: template/cluster rank-count mismatch");
-    ropts.assume_verified = opts.tpl->verified();
-    ptg::Context ctx(rctx, opts.tpl->pool(), ropts);
-    ctx.run();
-    if (ctx.killed()) {
-      PtgExecResult res;
-      res.killed = true;
-      return res;
-    }
-    return result_from_context(ctx, opts.tpl->pool());
-  }
-
   // The taskpool is rebuilt per rank from the same symbolic description;
   // every rank therefore evaluates the identical graph (ptg_build.h). The
   // static verifier can check that graph before this call ever runs — see
   // tools/mp-verify and Context::validate_plan().
   PtgBuild build = build_ptg(plan, stores, opts.variant, rctx.nranks());
 
-  ptg::Context ctx(rctx, build.pool, ropts);
+  ptg::Context ctx(rctx, build.pool, runtime_options(opts));
   ctx.run();
 
   if (ctx.killed()) {

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "ga/migration.h"
 #include "ptg/context.h"
 #include "tce/chain_plan.h"
 #include "tce/storage.h"
@@ -33,8 +32,6 @@
 #include "vc/cluster.h"
 
 namespace mp::tce {
-
-class PtgTemplate;
 
 struct PtgExecOptions {
   VariantConfig variant = VariantConfig::v5();
@@ -45,10 +42,6 @@ struct PtgExecOptions {
   /// migratable tasks from loaded victims. Static placement stays the
   /// common case; stealing only moves work once a rank runs dry.
   bool enable_stealing = false;
-  int steal_max_batch = 16;
-  /// Optional process-wide ownership-transfer ledger, shared by every
-  /// rank's executor so holder_of() answers coherently across the job.
-  ga::MigrationLedger* ledger = nullptr;
   /// Rank-failure tolerance (DESIGN.md §10): heartbeat failure detection on
   /// the comm thread plus policy-driven recovery of a dead rank's work.
   /// Off by default — fault-free jobs pay nothing.
@@ -63,13 +56,6 @@ struct PtgExecOptions {
   /// message loss must unwind with a StateError so the session stays
   /// usable for the next submit().
   double watchdog_timeout_ms = 30000.0;
-  /// Optional cached materialization (tce/template_cache.h): when set, the
-  /// executor runs the template's pool — already re-bound to this
-  /// submission's stores by the caller — instead of paying build_ptg, and
-  /// skips the per-run MP_VERIFY pass when the template was verified at
-  /// build time. The template's key (variant, nranks) must match `variant`
-  /// and the cluster. Not owned; must outlive the call.
-  const PtgTemplate* tpl = nullptr;
 };
 
 struct PtgExecResult {
@@ -90,8 +76,10 @@ struct PtgExecResult {
 };
 
 /// Map executor options onto runtime options. Shared by execute_ptg and
-/// the persistent PtgSession so both paths configure the runtime the same
-/// way (persistent/assume_verified are left at their defaults).
+/// PtgSession so both configure the runtime the same way
+/// (assume_verified is left at its default; PtgSession sets it from its
+/// template). Priorities are not an option: build_ptg encodes the
+/// variant's choice in the graph.
 ptg::Options runtime_options(const PtgExecOptions& opts);
 
 /// Extract the per-rank result block from a Context whose run() returned
@@ -99,11 +87,12 @@ ptg::Options runtime_options(const PtgExecOptions& opts);
 PtgExecResult result_from_context(const ptg::Context& ctx,
                                   const ptg::Taskpool& pool);
 
-/// Execute the plan over the PTG runtime. Collective across ranks. Works
-/// for single-contraction plans and fused multi-subroutine plans alike —
-/// `stores` must cover every store id the plan's chains reference. With
-/// `opts.tpl` set the materialized template pool is reused (no build, no
-/// re-verification); `plan` is then ignored.
+/// Execute the plan over the PTG runtime once: build the graph, run it on
+/// a fresh Context, return this rank's results. Collective across ranks.
+/// Works for single-contraction plans and fused multi-subroutine plans
+/// alike — `stores` must cover every store id the plan's chains reference.
+/// Repeated submissions of one plan belong on a PtgSession
+/// (tce/ptg_session.h), which builds once and keeps the threads parked.
 PtgExecResult execute_ptg(vc::RankCtx& rctx, const ChainPlan& plan,
                           const StoreList& stores,
                           const PtgExecOptions& opts);

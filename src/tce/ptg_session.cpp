@@ -16,7 +16,6 @@ PtgSession::PtgSession(vc::Cluster& cluster, std::shared_ptr<PtgTemplate> tpl,
              "PtgSession: options variant does not match the template's");
 
   ptg::Options ropts = runtime_options(opts_);
-  ropts.persistent = true;
   // mp-verify already ran (or was off) when the template was built; the
   // runtime must not repeat it per Context, let alone per submission.
   ropts.assume_verified = tpl_->verified();

@@ -262,7 +262,9 @@ TEST(Context, FanInReduction) {
 
 // --- priorities & scheduling order ---
 
-std::vector<int> run_priority_order(SchedPolicy policy, bool use_priorities) {
+// Ten independent tasks; with `with_priorities` instance i has priority i,
+// otherwise the class has no priority function (every instance at 0).
+std::vector<int> run_priority_order(SchedPolicy policy, bool with_priorities) {
   std::vector<int> order;
   vc::Cluster cluster(1);
   cluster.run([&](vc::RankCtx& rctx) {
@@ -272,13 +274,14 @@ std::vector<int> run_priority_order(SchedPolicy policy, bool use_priorities) {
     c.rank_of = [](const Params&) { return 0; };
     c.num_task_inputs = [](const Params&) { return 0; };
     c.enumerate_rank = round_robin(10, 1);
-    c.priority = [](const Params& p) { return static_cast<double>(p[0]); };
+    if (with_priorities) {
+      c.priority = [](const Params& p) { return static_cast<double>(p[0]); };
+    }
     c.body = [&](TaskCtx& t) { order.push_back(t.params()[0]); };
     pool.add_class(std::move(c));
     Options opts;
     opts.num_workers = 1;  // deterministic execution order
     opts.policy = policy;
-    opts.use_priorities = use_priorities;
     Context ctx(rctx, pool, opts);
     ctx.run();
   });
@@ -373,20 +376,90 @@ TEST(Context, TracingDisabledByDefault) {
 
 // --- error paths ---
 
-TEST(Context, RunTwiceThrows) {
-  vc::Cluster cluster(1);
+// A Context is reusable without PtgSession: a second run() resets the
+// per-run state collectively and executes the whole graph again on the
+// threads parked since the first.
+TEST(Context, RunTwiceReexecutesTheGraph) {
+  constexpr int kRanks = 2, kChains = 6, kLen = 4;
+  std::vector<std::atomic<int>> step_runs(kChains * kLen);
+  std::vector<std::atomic<int>> sink_runs(kChains);
+  std::vector<std::atomic<int>> finals(kChains);
+
+  vc::Cluster cluster(kRanks);
   cluster.run([&](vc::RankCtx& rctx) {
     Taskpool pool;
-    TaskClass c;
-    c.name = "once";
-    c.rank_of = [](const Params&) { return 0; };
-    c.num_task_inputs = [](const Params&) { return 0; };
-    c.enumerate_rank = [](int) { return std::vector<Params>{}; };
-    c.body = [](TaskCtx&) {};
-    pool.add_class(std::move(c));
+    // Step (l1, l2) lives on rank (l1 + l2) % 2, so every hop of every
+    // chain is a remote activation.
+    auto step_rank = [](const Params& p) { return (p[0] + p[1]) % kRanks; };
+    TaskClass step;
+    step.name = "STEP";
+    step.rank_of = step_rank;
+    step.num_task_inputs = [](const Params& p) { return p[1] == 0 ? 0 : 1; };
+    step.enumerate_rank = [=](int rank) {
+      std::vector<Params> out;
+      for (int l1 = 0; l1 < kChains; ++l1) {
+        for (int l2 = 0; l2 < kLen; ++l2) {
+          if (step_rank(params_of(l1, l2)) == rank) {
+            out.push_back(params_of(l1, l2));
+          }
+        }
+      }
+      return out;
+    };
+    step.body = [&](TaskCtx& t) {
+      const int l1 = t.params()[0], l2 = t.params()[1];
+      step_runs[static_cast<size_t>(l1 * kLen + l2)].fetch_add(1);
+      DataBuf buf = l2 == 0 ? make_buf(1, static_cast<double>(l1))
+                            : t.take_input(0);
+      if (l2 > 0) (*buf)[0] += 1.0;
+      t.set_output(0, std::move(buf));
+    };
+
+    TaskClass sink;
+    sink.name = "SINK";
+    sink.rank_of = [](const Params& p) { return p[0] % kRanks; };
+    sink.num_task_inputs = [](const Params&) { return 1; };
+    sink.enumerate_rank = round_robin(kChains, kRanks);
+    sink.body = [&](TaskCtx& t) {
+      const auto l1 = static_cast<size_t>(t.params()[0]);
+      sink_runs[l1].fetch_add(1);
+      finals[l1].store(static_cast<int>((*t.input(0))[0]));
+    };
+
+    const auto step_id = pool.add_class(std::move(step));
+    const auto sink_id = pool.add_class(std::move(sink));
+    pool.mutable_cls(step_id).route_outputs =
+        [=](const Params& p, std::vector<OutRoute>& r) {
+          if (p[1] < kLen - 1) {
+            r.push_back({TaskKey{step_id, params_of(p[0], p[1] + 1)}, 0, 0});
+          } else {
+            r.push_back({TaskKey{sink_id, params_of(p[0])}, 0, 0});
+          }
+        };
+
     Context ctx(rctx, pool);
-    ctx.run();
-    EXPECT_THROW(ctx.run(), InvalidArgument);
+    for (int run = 1; run <= 2; ++run) {
+      ctx.run();
+      EXPECT_EQ(ctx.submissions(), static_cast<uint64_t>(run));
+      EXPECT_EQ(ctx.tasks_executed(), ctx.expected_tasks()) << "run " << run;
+      // run() ends with a barrier and the next run() starts with the
+      // collective reset, so no body runs while rank 0 checks here.
+      if (rctx.rank() == 0) {
+        for (int i = 0; i < kChains * kLen; ++i) {
+          EXPECT_EQ(step_runs[static_cast<size_t>(i)].load(), run)
+              << "step " << i << ", run " << run;
+        }
+        for (int l1 = 0; l1 < kChains; ++l1) {
+          EXPECT_EQ(sink_runs[static_cast<size_t>(l1)].load(), run)
+              << "chain " << l1 << ", run " << run;
+          EXPECT_EQ(finals[static_cast<size_t>(l1)].exchange(-1),
+                    l1 + kLen - 1)
+              << "chain " << l1 << ", run " << run;
+        }
+      }
+    }
+    EXPECT_EQ(ctx.last_reset_report().submission, 1u);
+    EXPECT_EQ(ctx.last_reset_report().pending_deposits, 0u);
   });
 }
 

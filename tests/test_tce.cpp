@@ -13,6 +13,7 @@
 #include "tce/block_tensor.h"
 #include "tce/inspector.h"
 #include "tce/original_exec.h"
+#include "tce/ptg_build.h"
 #include "tce/ptg_exec.h"
 #include "tce/reference_exec.h"
 #include "tce/tiles.h"
@@ -380,6 +381,42 @@ TEST_F(ExecutorEquivalence, TracingProducesEventsForAllClasses) {
   });
   // v4: READ_A, READ_B, GEMM, REDUCE, SORT_i, WRITE_C = 6 classes.
   EXPECT_EQ(classes_seen.size(), 6u);
+}
+
+// Priorities live in the graph, not in a runtime switch: build_ptg gives
+// every instance the paper's PriorityScheme value under v4 and leaves v2's
+// classes without a priority function, so the runtime schedules all of
+// them at 0 (Context::build_task).
+TEST_F(ExecutorEquivalence, BuildPtgPrioritiesFollowTheVariant) {
+  const int nranks = cluster_->nranks();
+  const PriorityScheme scheme{static_cast<int>(fx_->plan.chains.size()),
+                              nranks};
+  const StoreList stores = storage_.stores();  // the pool captures it
+  for (const auto& var : {VariantConfig::v4(), VariantConfig::v2()}) {
+    const PtgBuild b = build_ptg(fx_->plan, stores, var, nranks);
+    size_t instances = 0;
+    for (size_t ci = 0; ci < b.pool.num_classes(); ++ci) {
+      const auto id = static_cast<int16_t>(ci);
+      const ptg::TaskClass& c = b.pool.cls(id);
+      const bool reader = id == b.ids.read_a || id == b.ids.read_b;
+      const bool gemm = id == b.ids.gemm;
+      EXPECT_EQ(static_cast<bool>(c.priority), var.priorities)
+          << var.name << " " << c.name;
+      for (int r = 0; r < nranks; ++r) {
+        for (const ptg::Params& p : c.enumerate_rank(r)) {
+          ++instances;
+          const double got = c.priority ? c.priority(p) : 0.0;
+          const double want = !var.priorities ? 0.0
+                              : reader        ? scheme.reader(p[0])
+                              : gemm          ? scheme.gemm(p[0])
+                                              : scheme.other(p[0]);
+          ASSERT_EQ(got, want) << var.name << " " << c.name << " chain "
+                               << p[0];
+        }
+      }
+    }
+    EXPECT_GT(instances, fx_->plan.chains.size()) << var.name;
+  }
 }
 
 }  // namespace
