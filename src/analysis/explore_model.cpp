@@ -182,7 +182,7 @@ void World::send(int src, int dst, int tag, vc::Payload payload) {
   m.src = src;
   m.dst = dst;
   m.tag = tag;
-  m.payload = std::move(payload);
+  m.header = std::move(payload);
   fabric_->send(std::move(m));
 }
 
@@ -437,7 +437,7 @@ void World::deliver(size_t idx, StepInfo& info) {
 
 void World::process_message(int dst, const vc::Message& m, StepInfo& info) {
   Node& n = nodes_[static_cast<size_t>(dst)];
-  vc::WireReader rd(m.payload);
+  vc::WireReader rd(m.header);
   bool moved_tasks = false;
   bool fresh_report = false;
 
@@ -866,7 +866,7 @@ std::string World::debug_dump() const {
     const vc::Message m = fabric_->pending_peek(i);
     os << "pending: " << m.src << "->" << m.dst << " tag=" << m.tag
        << " seq=" << m.seq << " rel=" << fabric_->wire_seq_next(m.src) - m.seq
-       << " payload=" << hash_bytes(m.payload.data(), m.payload.size())
+       << " payload=" << hash_bytes(m.header.data(), m.header.size())
        << '\n';
   }
   for (int r = 0; r < nranks(); ++r) {
@@ -982,7 +982,7 @@ uint64_t World::fingerprint() const {
       }
       fold(h, rank);
       fold(h, static_cast<uint64_t>(msgs[j].tag));
-      fold(h, hash_bytes(msgs[j].payload.data(), msgs[j].payload.size()));
+      fold(h, hash_bytes(msgs[j].header.data(), msgs[j].header.size()));
       fold(h, fresh ? 1 : 0);
     }
   }

@@ -41,6 +41,64 @@ struct ClearOnExit {
   ~ClearOnExit() { flag.store(false); }
 };
 
+// ---- the data-plane codec ---------------------------------------------------
+// encode_buf/decode_buf are the only place a buffer's doubles are copied
+// into or out of a message (tools/lint.py: bulk-copy-outside-codec). A
+// buffer of at most Context::kEagerLimit doubles is copied inline into the
+// header as an 8-byte count plus the doubles, and a larger one rides as the
+// message's next segment, i.e. the handle itself. The serialized size is
+// the same either way (a segment is charged its count plus its doubles), so
+// the fabric's byte counts do not depend on the encoding.
+//
+// A *tagged* buffer is preceded by a BufTag byte (steal replies, whose task
+// inputs may be null). An untagged one is the message's only buffer
+// (activations): it is a segment iff the message carries one.
+
+enum BufTag : uint8_t { kNoBuf = 0, kInlineBuf = 1, kSegmentBuf = 2 };
+
+void encode_buf(vc::WireWriter& w, std::vector<DataBuf>& segments,
+                DataBuf buf, bool tagged) {
+  const bool segment = buf && buf->size() > Context::kEagerLimit;
+  if (tagged) {
+    w.put<uint8_t>(!buf ? kNoBuf : segment ? kSegmentBuf : kInlineBuf);
+  }
+  if (!buf) {
+    MP_REQUIRE(tagged, "encode_buf: untagged buffer must not be null");
+    return;
+  }
+  if (segment) {
+    segments.push_back(std::move(buf));
+  } else {
+    w.put_doubles(buf->data(), buf->size());
+  }
+}
+
+/// Inverse of encode_buf. Segments are moved out of `segments` (so the
+/// consumer can end up holding the only handle); `next` counts the ones
+/// consumed so far.
+DataBuf decode_buf(vc::WireReader& r, std::vector<DataBuf>& segments,
+                   size_t& next, bool tagged) {
+  uint8_t tag = next < segments.size() ? kSegmentBuf : kInlineBuf;
+  if (tagged) tag = r.get<uint8_t>();
+  if (tag == kNoBuf) return nullptr;
+  if (tag == kSegmentBuf) {
+    MP_REQUIRE(next < segments.size() && segments[next] != nullptr,
+               "decode_buf: missing message segment");
+    DataBuf buf = std::move(segments[next++]);
+    // The receiver takes the handle over: a buffer the sender handed off
+    // (MP_ANNOTATE_BUF_MIGRATE) belongs to this side from here on.
+    MP_ANNOTATE_BUF_RECEIVE(buf.get());
+    return buf;
+  }
+  MP_REQUIRE(tag == kInlineBuf, "decode_buf: bad buffer tag");
+  // Pooled (annotated) buffer so the lifecycle checker tracks the received
+  // copy exactly like a locally-produced one; the move assignment also
+  // recycles the vector's allocation.
+  auto data = make_buf_pooled(0);
+  *data = r.get_doubles();
+  return data;
+}
+
 }  // namespace
 
 Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts)
@@ -249,39 +307,33 @@ void Context::execute_task(ReadyTask t, int wid) {
     std::vector<ReadyTask> batch;
     std::vector<OutRoute> routes;
     c.route_outputs(t.key.p, routes);
-    for (const OutRoute& r : routes) {
-      const TaskClass& cc = pool_.cls(r.consumer.cls);
-      MP_REQUIRE(static_cast<size_t>(r.out_slot) < tctx.outputs().size() &&
-                     tctx.outputs()[static_cast<size_t>(r.out_slot)] != nullptr,
+    std::vector<DataBuf>& outs = tctx.outputs();
+    for (size_t i = 0; i < routes.size(); ++i) {
+      const OutRoute& r = routes[i];
+      const auto s = static_cast<size_t>(r.out_slot);
+      // Only an output's last route moves its handle, so a slot is non-null
+      // at every route unless the body never set it.
+      MP_REQUIRE(s < outs.size() && outs[s] != nullptr,
                  "task '" + c.name + "' routed output slot " +
                      std::to_string(r.out_slot) + " but never set it");
-      const DataBuf& buf = tctx.outputs()[static_cast<size_t>(r.out_slot)];
+      // The last route of an output takes the producer's handle by move: a
+      // sole consumer then holds the only handle and may mutate it in place.
+      const bool last_use =
+          std::none_of(routes.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                       routes.end(), [&](const OutRoute& later) {
+                         return later.out_slot == r.out_slot;
+                       });
+      DataBuf buf = last_use ? std::move(outs[s]) : outs[s];
       // Under failure tolerance the consumer may live on a stand-in rank
       // (its home is confirmed dead); route to wherever it lives *now*.
-      const int dst = failure_active() ? effective_rank(r.consumer)
-                                       : cc.rank_of(r.consumer.p);
+      const int dst = failure_active()
+                          ? effective_rank(r.consumer)
+                          : pool_.cls(r.consumer.cls).rank_of(r.consumer.p);
       if (dst == rank()) {
-        deposit(r.consumer, r.in_slot, buf, &batch);
+        deposit(r.consumer, r.in_slot, std::move(buf), &batch);
       } else {
         if (failure_active()) record_lineage(dst, r.consumer, r.in_slot, buf);
-        vc::WireWriter w;
-        // Load hint piggybacked on every activation: receivers feed it to
-        // their steal agent's victim selection.
-        w.put<int64_t>(static_cast<int64_t>(sched_->size()));
-        w.put<int16_t>(r.consumer.cls);
-        for (int32_t x : r.consumer.p) w.put<int32_t>(x);
-        w.put<int8_t>(r.in_slot);
-        w.put_doubles(buf->data(), buf->size());
-        vc::Message m;
-        m.src = rank();
-        m.dst = dst;
-        m.tag = kTagActivate;
-        m.payload = w.take();
-        {
-          std::lock_guard lock(out_mu_);
-          outbox_.push_back(std::move(m));
-        }
-        remote_sent_.fetch_add(1, std::memory_order_relaxed);
+        post_activation(dst, r.consumer, r.in_slot, std::move(buf));
       }
     }
     if (!batch.empty()) {
@@ -310,11 +362,8 @@ void Context::execute_task(ReadyTask t, int wid) {
     m.src = rank();
     m.dst = t.origin;
     m.tag = kTagCredit;
-    m.payload = w.take();
-    {
-      std::lock_guard lock(out_mu_);
-      outbox_.push_back(std::move(m));
-    }
+    m.header = w.take();
+    post(std::move(m));
     foreign_pending_.fetch_sub(1, std::memory_order_relaxed);
     // Release after the migrated-in count it is bounded by (the bound was
     // incremented before this task was even visible to pop).
@@ -323,6 +372,33 @@ void Context::execute_task(ReadyTask t, int wid) {
   }
   executed_.fetch_add(1, std::memory_order_acq_rel);
   maybe_local_complete();
+}
+
+void Context::post(vc::Message m) {
+  std::lock_guard lock(out_mu_);
+  outbox_.push_back(std::move(m));
+  // The outbox is a channel: segment buffers this worker wrote are read
+  // next by the comm thread's send and then by a consumer on another rank.
+  MP_ANNOTATE_CHANNEL_SEND(&outbox_);
+}
+
+void Context::post_activation(int dst, const TaskKey& consumer, int slot,
+                              DataBuf buf) {
+  vc::Message m;
+  m.src = rank();
+  m.dst = dst;
+  m.tag = kTagActivate;
+  vc::WireWriter w;
+  // Load hint piggybacked on every activation: receivers feed it to their
+  // steal agent's victim selection.
+  w.put<int64_t>(static_cast<int64_t>(sched_->size()));
+  w.put<int16_t>(consumer.cls);
+  for (int32_t x : consumer.p) w.put<int32_t>(x);
+  w.put<int8_t>(static_cast<int8_t>(slot));
+  encode_buf(w, m.segments, std::move(buf), /*tagged=*/false);
+  m.header = w.take();
+  post(std::move(m));
+  remote_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Context::maybe_local_complete() {
@@ -469,7 +545,7 @@ void Context::steal_agent_tick(std::chrono::steady_clock::time_point now_tp) {
 void Context::serve_steal_request(const vc::Message& msg) {
   st_requests_received_.fetch_add(1, std::memory_order_relaxed);
   try {
-    vc::WireReader r(msg.payload);
+    vc::WireReader r(msg.header);
     const int64_t thief_load = r.get<int64_t>();
     if (msg.src >= 0 && static_cast<size_t>(msg.src) < load_hints_.size()) {
       load_hints_[static_cast<size_t>(msg.src)] = thief_load;
@@ -502,52 +578,48 @@ void Context::serve_steal_request(const vc::Message& msg) {
     }
   }
   vc::WireWriter w;
+  std::vector<DataBuf> segments;
   w.put<int64_t>(static_cast<int64_t>(sched_->size()));
   w.put<uint32_t>(static_cast<uint32_t>(batch.size()));
-  for (const ReadyTask& t : batch) {
+  for (ReadyTask& t : batch) {
     w.put<int16_t>(t.key.cls);
     for (int32_t x : t.key.p) w.put<int32_t>(x);
     w.put<double>(t.priority);
     w.put<uint32_t>(static_cast<uint32_t>(t.inputs.size()));
-    for (const DataBuf& in : t.inputs) {
-      w.put<uint8_t>(in ? 1 : 0);
-      if (in) w.put_doubles(in->data(), in->size());
-    }
-  }
-  for (const ReadyTask& t : batch) {
-    if (opts_.migration_observer) {
-      opts_.migration_observer->migrated(t.key, rank(), msg.src);
-    }
-    // The contents now belong to the thief: any further local access until
-    // the (legal) release below is an MPA007 finding.
-    for (const DataBuf& in : t.inputs) {
+    for (DataBuf& in : t.inputs) {
+      // The contents now belong to the thief: any further local access is
+      // an MPA007 finding until the thief's decode takes the handle over.
       if (in) MP_ANNOTATE_BUF_MIGRATE(in.get());
+      // Under failure detection the entry below keeps the handles, so the
+      // reply shares them; otherwise the thief gets the only handle.
+      encode_buf(w, segments, failure_active() ? in : std::move(in),
+                 /*tagged=*/true);
     }
-    if (failure_active()) {
-      // Retain the handles (not the contents) so the task can be re-injected
-      // locally if the thief dies before its credit arrives. The buffers
-      // stay annotated as migrated; re-injection REHOMEs them first.
-      OutstandingMig om;
-      om.holder = msg.src;
-      om.priority = t.priority;
-      om.inputs = t.inputs;
-      outstanding_migs_[t.key] = std::move(om);
-    }
+    // Every migration stays keyed until its credit arrives. Failure
+    // detection also retains the input handles (not the contents) so the
+    // task can be re-injected locally if the thief dies first; the buffers
+    // stay annotated as migrated and re-injection REHOMEs them.
+    OutstandingMig om;
+    om.holder = msg.src;
+    om.priority = t.priority;
+    if (failure_active()) om.inputs = std::move(t.inputs);
+    outstanding_migs_[t.key] = std::move(om);
   }
   // Reply counted before the tasks it carries (release), so a snapshot
   // observing migrated-out tasks always observes the reply too.
   st_replies_sent_.fetch_add(1, std::memory_order_relaxed);
   st_migrated_out_.fetch_add(batch.size(), std::memory_order_release);
-  rctx_.send(msg.src, kTagStealReply, w.take());
+  rctx_.send(msg.src, kTagStealReply, w.take(), std::move(segments));
   if (!batch.empty()) progress_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Context::absorb_steal_reply(const vc::Message& msg) {
+void Context::absorb_steal_reply(vc::Message& msg) {
   st_replies_received_.fetch_add(1, std::memory_order_relaxed);
   steal_outstanding_.store(0, std::memory_order_relaxed);
   size_t n = 0;
   try {
-    vc::WireReader r(msg.payload);
+    vc::WireReader r(msg.header);
+    size_t next_segment = 0;
     const int64_t victim_load = r.get<int64_t>();
     if (msg.src >= 0 && static_cast<size_t>(msg.src) < load_hints_.size()) {
       load_hints_[static_cast<size_t>(msg.src)] = victim_load;
@@ -565,14 +637,13 @@ void Context::absorb_steal_reply(const vc::Message& msg) {
       const auto nin = r.get<uint32_t>();
       t.inputs.resize(nin);
       for (uint32_t s = 0; s < nin; ++s) {
-        if (r.get<uint8_t>() != 0) {
-          auto data = make_buf_pooled(0);
-          *data = r.get_doubles();
-          t.inputs[s] = std::move(data);
-        }
+        t.inputs[s] = decode_buf(r, msg.segments, next_segment,
+                                 /*tagged=*/true);
       }
       tasks.push_back(std::move(t));
     }
+    MP_REQUIRE(next_segment == msg.segments.size(),
+               "steal reply: unclaimed message segments");
     if (!tasks.empty()) {
       foreign_pending_.fetch_add(static_cast<int64_t>(tasks.size()),
                                  std::memory_order_relaxed);
@@ -600,13 +671,13 @@ void Context::record_error(const std::string& reason) {
   }
   // Tell every other rank: their remaining tasks may depend on activations
   // this rank will never send, so they must unwind too or the job
-  // deadlocks at scale. The reason (when given) rides in the payload so
+  // deadlocks at scale. The reason (when given) rides in the header so
   // peers surface the actual cause, not a generic task failure.
   if (!abort_broadcast_.exchange(true)) {
-    vc::Payload payload(reason.begin(), reason.end());
+    const vc::Payload header(reason.begin(), reason.end());
     for (int r = 0; r < nranks(); ++r) {
       if (r == rank()) continue;
-      rctx_.send(r, kTagAbort, payload);
+      rctx_.send(r, kTagAbort, header);
     }
   }
   // Force a shutdown: remaining tasks will never run, but every thread
@@ -670,7 +741,7 @@ void Context::send_heartbeat(int dst, uint8_t flag) {
 void Context::on_heartbeat(const vc::Message& msg) {
   fs_heartbeats_received_.fetch_add(1, std::memory_order_relaxed);
   try {
-    vc::WireReader r(msg.payload);
+    vc::WireReader r(msg.header);
     const int64_t load = r.get<int64_t>();
     if (msg.src >= 0 && static_cast<size_t>(msg.src) < load_hints_.size()) {
       load_hints_[static_cast<size_t>(msg.src)] = load;
@@ -867,26 +938,11 @@ void Context::handle_confirmed_death(int dead) {
     const int dst = effective_rank(e.consumer);
     fs_lineage_replayed_.fetch_add(1, std::memory_order_release);
     if (dst == rank()) {
-      deposit(e.consumer, e.slot, e.buf);
+      deposit(e.consumer, e.slot, std::move(e.buf));
       continue;
     }
     record_lineage(dst, e.consumer, e.slot, e.buf);
-    vc::WireWriter w;
-    w.put<int64_t>(static_cast<int64_t>(sched_->size()));
-    w.put<int16_t>(e.consumer.cls);
-    for (int32_t x : e.consumer.p) w.put<int32_t>(x);
-    w.put<int8_t>(e.slot);
-    w.put_doubles(e.buf->data(), e.buf->size());
-    vc::Message m;
-    m.src = rank();
-    m.dst = dst;
-    m.tag = kTagActivate;
-    m.payload = w.take();
-    {
-      std::lock_guard lock(out_mu_);
-      outbox_.push_back(std::move(m));
-    }
-    remote_sent_.fetch_add(1, std::memory_order_relaxed);
+    post_activation(dst, e.consumer, e.slot, std::move(e.buf));
   }
 
   // 3) Re-inject own tasks that were migrated to the victim and never
@@ -901,9 +957,6 @@ void Context::handle_confirmed_death(int dead) {
     }
     for (const DataBuf& in : it->second.inputs) {
       if (in) MP_ANNOTATE_BUF_REHOME(in.get());
-    }
-    if (opts_.migration_observer) {
-      opts_.migration_observer->reassigned(it->first, rank(), rank());
     }
     ReadyTask t;
     t.key = it->first;
@@ -1044,11 +1097,8 @@ std::string Context::watchdog_dump() {
        << " migrated_in=" << ss.tasks_migrated_in
        << " credits_sent=" << ss.credits_sent
        << " foreign_pending=" << foreign_pending_.load()
-       << " steal_outstanding=" << steal_outstanding_.load();
-    if (opts_.migration_observer) {
-      const std::string ledger = opts_.migration_observer->describe();
-      if (!ledger.empty()) os << " ledger={" << ledger << "}";
-    }
+       << " steal_outstanding=" << steal_outstanding_.load()
+       << " outstanding_migrations=" << outstanding_migs_.size();
   }
   if (failure_active()) {
     size_t held = 0;
@@ -1093,9 +1143,10 @@ void Context::comm_loop() {
         if (outbox_.empty()) break;
         m = std::move(outbox_.front());
         outbox_.pop_front();
+        MP_ANNOTATE_CHANNEL_RECV(&outbox_);
       }
       const double t0 = opts_.enable_tracing ? now() : 0.0;
-      rctx_.send(m.dst, m.tag, std::move(m.payload));
+      rctx_.send(m.dst, m.tag, std::move(m.header), std::move(m.segments));
       if (opts_.enable_tracing) {
         comm_events_.push_back(
             TraceEvent{rank(), -1, -1, {0, 0, 0}, t0, now(), true});
@@ -1139,7 +1190,7 @@ void Context::comm_loop() {
       switch (msg->tag) {
       case kTagActivate: {
         try {
-          vc::WireReader r(msg->payload);
+          vc::WireReader r(msg->header);
           const int64_t load = r.get<int64_t>();  // piggybacked load hint
           if (msg->src >= 0 &&
               static_cast<size_t>(msg->src) < load_hints_.size()) {
@@ -1149,12 +1200,10 @@ void Context::comm_loop() {
           key.cls = r.get<int16_t>();
           for (auto& x : key.p) x = r.get<int32_t>();
           const int slot = r.get<int8_t>();
-          // Pooled (annotated) buffer so the lifecycle checker tracks the
-          // received copy exactly like a locally-produced one; the move
-          // assignment also recycles the vector's allocation.
-          auto data = make_buf_pooled(0);
-          *data = r.get_doubles();
-          deposit(key, slot, std::move(data));
+          size_t next_segment = 0;
+          deposit(key, slot,
+                  decode_buf(r, msg->segments, next_segment,
+                             /*tagged=*/false));
         } catch (...) {
           record_error();
         }
@@ -1162,7 +1211,7 @@ void Context::comm_loop() {
       }
       case kTagAbort: {
         try {
-          const std::string reason(msg->payload.begin(), msg->payload.end());
+          const std::string reason(msg->header.begin(), msg->header.end());
           throw StateError(
               reason.empty()
                   ? "PTG run aborted: task failure on rank " +
@@ -1182,7 +1231,7 @@ void Context::comm_loop() {
         break;
       case kTagCredit: {
         try {
-          vc::WireReader r(msg->payload);
+          vc::WireReader r(msg->header);
           const int64_t load = r.get<int64_t>();
           if (msg->src >= 0 &&
               static_cast<size_t>(msg->src) < load_hints_.size()) {
@@ -1191,11 +1240,8 @@ void Context::comm_loop() {
           TaskKey key;
           key.cls = r.get<int16_t>();
           for (auto& x : key.p) x = r.get<int32_t>();
-          if (opts_.migration_observer) {
-            opts_.migration_observer->credited(key, rank(), msg->src);
-          }
-          // The migrated task retired at its holder; release the retained
-          // re-injection copy (failure runs only).
+          // The migrated task retired at its holder: retire its entry (and,
+          // under failure detection, the retained input handles).
           outstanding_migs_.erase(key);
           st_credits_received_.fetch_add(1, std::memory_order_release);
           // A migrated task retired somewhere: real forward progress.
@@ -1209,9 +1255,9 @@ void Context::comm_loop() {
       case kTagLocalDone: {
         if (rank() == 0) {
           uint64_t sender_dead_mask = 0;
-          if (!msg->payload.empty()) {
+          if (!msg->header.empty()) {
             try {
-              vc::WireReader r(msg->payload);
+              vc::WireReader r(msg->header);
               sender_dead_mask = r.get<uint64_t>();
             } catch (...) {
               // Malformed mask: treat as a pre-death (epoch 0) report.
@@ -1321,8 +1367,9 @@ void Context::comm_loop() {
         ++discarded;
         MP_LOG_WARN(
             "comm thread: rank %d discarding late message at shutdown "
-            "(src=%d tag=%d, %zu bytes)",
-            rank(), late->src, late->tag, late->payload.size());
+            "(src=%d tag=%d, %llu bytes)",
+            rank(), late->src, late->tag,
+            static_cast<unsigned long long>(late->wire_bytes()));
       }
       if (discarded > 0) {
         MP_LOG_WARN("comm thread: rank %d discarded %zu late message(s)",
@@ -1626,6 +1673,9 @@ void Context::run_submission() {
   }
   wait_workers_parked();
   comm_stop_.store(true, std::memory_order_release);
+  // The comm thread is most likely idle in its mailbox poll: end the poll
+  // now instead of when it times out.
+  rctx_.mailbox().interrupt();
   wait_comm_parked();
 
   if (killed_.load(std::memory_order_acquire)) {

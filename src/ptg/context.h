@@ -4,14 +4,22 @@
 // remote consumers through the virtual-cluster fabric, and detects
 // termination (every locally-owned task instance executed).
 //
+// Buffers cross ranks zero-copy. Remote activations, lineage replays and
+// steal replies all go through one codec: a buffer of at most kEagerLimit
+// doubles is copied inline into the message header, a larger one rides as a
+// message segment — the DataBuf handle itself — so the in-process fabric
+// moves a refcount instead of the doubles. The receiver may therefore hold
+// the very object the sender (or a fan-out sibling, or the recovery state)
+// still reads; TaskCtx::take_input copies whenever the handle is shared.
+//
 // With `Options::enable_stealing`, the comm thread doubles as an inter-node
 // steal agent (John et al., "Distributed Work Stealing in a Task-Based
 // Dataflow Runtime"): when the local queues run dry it picks a victim —
 // randomized, biased by load hints piggybacked on every activation and
 // steal message — and sends a STEAL_REQUEST. The victim harvests up to
 // half of its ready tasks (capped at a fixed batch size, skipping classes
-// marked non-migratable) and ships them, input buffers included, in a
-// STEAL_REPLY. Because migrated tasks execute on a foreign rank,
+// marked non-migratable) and ships them, input buffer handles included, in
+// a STEAL_REPLY. Because migrated tasks execute on a foreign rank,
 // termination switches to a credit scheme: the thief sends one CREDIT per
 // completed foreign task back to its home rank, a rank is *locally* done
 // when executed + credits_received == expected, local-done reports flow to
@@ -51,29 +59,6 @@
 
 namespace mp::ptg {
 
-/// Callback interface for recording task-ownership transfers outside the
-/// runtime (the ga layer keeps a MigrationLedger so placement lookups stay
-/// coherent while a task is resident on a foreign rank). `migrated` fires
-/// on the victim when a task is handed to the fabric; `credited` fires on
-/// the victim again when the thief's completion credit arrives. Both may be
-/// called from comm or worker threads concurrently.
-class MigrationObserver {
- public:
-  virtual ~MigrationObserver() = default;
-  virtual void migrated(const TaskKey& key, int home, int holder) = 0;
-  virtual void credited(const TaskKey& key, int home, int holder) = 0;
-  /// Fires on the home rank when an in-flight migrated task is forcibly
-  /// re-homed because its holder was confirmed dead (rank-failure recovery):
-  /// the ledger must drop the holder entry — no credit will ever arrive.
-  virtual void reassigned(const TaskKey& key, int home, int new_holder) {
-    (void)key;
-    (void)home;
-    (void)new_holder;
-  }
-  /// One-line state summary for watchdog dumps ("" when idle).
-  virtual std::string describe() const { return {}; }
-};
-
 struct Options {
   int num_workers = 2;            ///< compute threads per rank
   /// Ready-queue order. Priorities come from the graph: instances of a
@@ -104,9 +89,6 @@ struct Options {
   /// Re-send interval for the local-done report / JOB_DONE replay, making
   /// the termination protocol robust to dropped control messages.
   double termination_resend_ms = 250.0;
-  /// Optional ownership-transfer recorder (see MigrationObserver). Not
-  /// owned; must outlive run().
-  MigrationObserver* migration_observer = nullptr;
 
   // -- rank-failure tolerance (DESIGN.md §10; no effect on 1-rank jobs) --
 
@@ -121,7 +103,9 @@ struct Options {
   /// sends (per destination) and every locally-activated TaskKey, for the
   /// whole run — O(total activations) even when no rank ever dies. Nothing
   /// can be pruned before job end, because any destination may still die.
-  /// Leave this off (the default, which pays nothing) unless the job
+  /// A retained handle is shared with its consumer (and stolen tasks' inputs
+  /// with their thief), so a consumer that takes such an input over gets a
+  /// copy. Leave this off (the default, which pays nothing) unless the job
   /// actually needs to survive rank deaths.
   bool enable_failure_detection = false;
   /// Interval between explicit HEARTBEAT rounds while not done.
@@ -212,9 +196,15 @@ class Context {
   /// Rank 0 -> all: every rank reported local-done; the job is finished.
   static constexpr int kTagJobDone = kWireJobDone;
   /// Failure detector liveness traffic: periodic beat, probe ("answer me
-  /// now"), or probe answer — see the flag byte in the payload. Never
+  /// now"), or probe answer — see the flag byte in the header. Never
   /// counted as watchdog progress (protocol::work_moving).
   static constexpr int kTagHeartbeat = kWireHeartbeat;
+
+  /// Eager limit of the data-plane codec, in doubles: a buffer this small
+  /// is copied inline into the message header (one cache line — cheaper
+  /// than a handle's refcount traffic and a foreign-thread release); a
+  /// larger one ships as a shared segment. A constant, not an option.
+  static constexpr size_t kEagerLimit = 8;
 
   Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts = {});
   /// Wakes the parked comm and worker threads for shutdown and joins them
@@ -305,6 +295,12 @@ class Context {
   uint64_t scheduler_steals() const { return sched_->steals(); }
   SchedStats scheduler_stats() const { return sched_->stats(); }
   StealStats steal_stats() const;
+  /// Own tasks migrated out by stealing whose completion credit has not
+  /// arrived yet. Zero after a run that completed globally: every migration
+  /// was credited home. The map belongs to the comm thread, so read it only
+  /// between runs (after run() returned, before the next one) — with
+  /// stealing on, last_reset_report() only captures it at the next run.
+  size_t outstanding_migrations() const { return outstanding_migs_.size(); }
   /// Failure-detector / recovery counters (see FailureStats; snapshot after
   /// run() for the equality invariants to hold).
   FailureStats failure_stats() const;
@@ -403,8 +399,9 @@ class Context {
   void steal_agent_tick(std::chrono::steady_clock::time_point now_tp);
   /// Comm thread: serve a STEAL_REQUEST (harvest + reply).
   void serve_steal_request(const vc::Message& msg);
-  /// Comm thread: absorb a STEAL_REPLY (deserialize + enqueue).
-  void absorb_steal_reply(const vc::Message& msg);
+  /// Comm thread: absorb a STEAL_REPLY (decode + enqueue). Moves the
+  /// reply's segments into the migrated tasks.
+  void absorb_steal_reply(vc::Message& msg);
   /// Comm thread: heartbeat rounds + the suspicion -> probe -> confirmed
   /// state machine of the failure detector.
   void detector_tick(std::chrono::steady_clock::time_point now_tp);
@@ -427,6 +424,11 @@ class Context {
   /// next live rank; kDegrade: hash over survivors). Pure in (key, policy,
   /// dead set), so every rank that agrees on the dead set agrees on it.
   int effective_rank(const TaskKey& key) const;
+  /// Queue a message on the outbox for the comm thread to send.
+  void post(vc::Message m);
+  /// Encode one remote activation of `consumer`'s input `slot` and post it.
+  void post_activation(int dst, const TaskKey& consumer, int slot,
+                       DataBuf buf);
   /// Record one remote activation in the per-destination lineage log.
   void record_lineage(int dst, const TaskKey& consumer, int slot,
                       const DataBuf& buf);
@@ -547,8 +549,10 @@ class Context {
   std::vector<std::vector<LineageEntry>> lineage_;
 
   /// Comm-thread-only: tasks migrated out whose completion credit has not
-  /// arrived, with retained input copies so a dead thief's haul can be
-  /// re-injected locally.
+  /// arrived (stealing runs). Under failure detection each entry also
+  /// retains the input handles, so a dead thief's haul can be re-injected
+  /// locally; without it `inputs` stays empty, so the bookkeeping never
+  /// shares a handle the thief may want to mutate in place.
   struct OutstandingMig {
     int holder = -1;
     double priority = 0.0;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/analysis.h"
+#include "support/data_buf.h"
 
 namespace mp::ptg {
 
@@ -46,11 +47,12 @@ struct TaskKeyHash {
   }
 };
 
-/// A reference-counted data buffer flowing between tasks. A buffer routed to
-/// exactly one consumer may be mutated in place by that consumer (this is
-/// how the serial-chain RW flow of matrix C works); buffers fanned out to
-/// multiple consumers must be treated as read-only.
-using DataBuf = std::shared_ptr<std::vector<double>>;
+/// A reference-counted data buffer flowing between tasks (support/
+/// data_buf.h). A consumer that wants to mutate an input calls
+/// TaskCtx::take_input, which hands over the buffer itself when the task
+/// holds its only handle (the serial-chain RW flow of matrix C) and a copy
+/// when anyone else still does (fan-out siblings, retained recovery state).
+using mp::DataBuf;
 
 inline DataBuf make_buf(size_t n, double fill = 0.0) {
 #if defined(MP_ANALYSIS) && MP_ANALYSIS

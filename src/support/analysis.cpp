@@ -261,6 +261,14 @@ void LifecycleChecker::obj_migrate(const void* obj, const char* kind) {
   o.migrate_task = impl_->me().task;
 }
 
+void LifecycleChecker::obj_receive(const void* obj, const char* kind) {
+  (void)kind;
+  std::lock_guard lock(impl_->mu);
+  auto it = impl_->objects.find(obj);
+  if (it == impl_->objects.end()) return;  // untracked allocation
+  it->second.migrated = false;
+}
+
 void LifecycleChecker::obj_rehome(const void* obj, const char* kind) {
   std::lock_guard lock(impl_->mu);
   auto it = impl_->objects.find(obj);

@@ -10,9 +10,11 @@
 //
 //   - object lifecycle  — create/destroy per pooled DataBuf; double release
 //     and use-after-release are reported even after the allocator or the
-//     BufPool has recycled the address (MPA001/MPA002/MPA003).
+//     BufPool has recycled the address (MPA001/MPA002/MPA003); a buffer
+//     handed off to another rank is off limits until the receiver takes the
+//     handle over (MPA007).
 //   - vector-clock happens-before — every legitimate cross-thread handoff
-//     (mailbox push/pop, scheduler queue, pending-deposit shard) is an
+//     (mailbox push/pop, scheduler queue, pending-deposit shard, outbox) is an
 //     annotated channel; an access to a tracked object that is not ordered
 //     by the channel graph and shares no lock with the previous access is a
 //     data race (MPA004).
@@ -80,6 +82,12 @@ class LifecycleChecker {
   /// after this point — the remote side owns the data now — is reported as
   /// MPA007, as is migrating the same live object twice.
   void obj_migrate(const void* obj, const char* kind);
+  /// The receiving side of a migration took the handle over: the object
+  /// itself travelled (an in-process message segment), so the receiver now
+  /// owns the data and the MPA007 hand-off bit comes back off. Its accesses
+  /// are checked like any other from here on — they reached this thread
+  /// through annotated channels. A no-op for an object never migrated.
+  void obj_receive(const void* obj, const char* kind);
   /// Rank-failure recovery took the object back: a previously migrated (or
   /// merely outstanding) buffer was re-homed to this rank because its remote
   /// holder died. Clears the migrated bit and records a re-home epoch; any
@@ -145,6 +153,7 @@ class LifecycleChecker {
 #define MP_ANNOTATE_BUF_WRITE(p) MP_ANNOTATE(obj_write((p), "DataBuf"))
 #define MP_ANNOTATE_BUF_MIGRATE(p) MP_ANNOTATE(obj_migrate((p), "DataBuf"))
 #define MP_ANNOTATE_BUF_REHOME(p) MP_ANNOTATE(obj_rehome((p), "DataBuf"))
+#define MP_ANNOTATE_BUF_RECEIVE(p) MP_ANNOTATE(obj_receive((p), "DataBuf"))
 #define MP_ANNOTATE_CHANNEL_SEND(ch) MP_ANNOTATE(channel_send((ch)))
 #define MP_ANNOTATE_CHANNEL_RECV(ch) MP_ANNOTATE(channel_recv((ch)))
 #define MP_ANNOTATE_LOCK_ACQUIRED(mu) MP_ANNOTATE(lock_acquired((mu)))

@@ -10,12 +10,14 @@ namespace mp::vc {
 
 int RankCtx::nranks() const { return cluster_->nranks(); }
 
-void RankCtx::send(int dst, int tag, Payload payload) {
+void RankCtx::send(int dst, int tag, Payload header,
+                   std::vector<DataBuf> segments) {
   Message m;
   m.src = rank_;
   m.dst = dst;
   m.tag = tag;
-  m.payload = std::move(payload);
+  m.header = std::move(header);
+  m.segments = std::move(segments);
   cluster_->fabric().send(std::move(m));
 }
 

@@ -28,8 +28,10 @@ class RankCtx {
   int rank() const { return rank_; }
   int nranks() const;
 
-  /// Point-to-point send to `dst`'s mailbox.
-  void send(int dst, int tag, Payload payload);
+  /// Point-to-point send to `dst`'s mailbox: header bytes plus optional
+  /// shared segments (see Message).
+  void send(int dst, int tag, Payload header,
+            std::vector<DataBuf> segments = {});
 
   /// This rank's inbound mailbox.
   Mailbox& mailbox();

@@ -73,11 +73,11 @@ const FaultConfig& Fabric::fault_for(int src, int dst) const {
 // messages == 0" can never be seen, even mid-run.
 void Fabric::count_sent(const Message& m) {
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(m.payload.size(), std::memory_order_release);
+  bytes_sent_.fetch_add(m.wire_bytes(), std::memory_order_release);
 }
 
 void Fabric::deliver(Message m) {
-  const size_t bytes = m.payload.size();
+  const uint64_t bytes = m.wire_bytes();
   if (!(*mailboxes_)[static_cast<size_t>(m.dst)].push(std::move(m))) {
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
     bytes_dropped_.fetch_add(bytes, std::memory_order_release);
@@ -145,7 +145,7 @@ void Fabric::send(Message m) {
       }
       if (dup) {
         faults_duplicated_.fetch_add(1, std::memory_order_release);
-        deliver(m);  // deliberate copy: the duplicate
+        deliver(m);  // the duplicate: copies the header, shares the segments
       }
     } else {
       count_sent(m);
@@ -158,14 +158,14 @@ void Fabric::send(Message m) {
   using namespace std::chrono;
   const double service_us =
       cfg_.bandwidth_Bps > 0.0
-          ? static_cast<double>(m.payload.size()) / cfg_.bandwidth_Bps * 1e6
+          ? static_cast<double>(m.wire_bytes()) / cfg_.bandwidth_Bps * 1e6
           : 0.0;
   {
     std::lock_guard lock(mu_);
     if (stopping_) {
       // Refused, not sent: shutdown already began.
       messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-      bytes_dropped_.fetch_add(m.payload.size(), std::memory_order_release);
+      bytes_dropped_.fetch_add(m.wire_bytes(), std::memory_order_release);
       return;
     }
     count_sent(m);
@@ -236,8 +236,9 @@ void Fabric::duplicate_pending(size_t i) {
   std::lock_guard lock(mu_);
   MP_REQUIRE(i < ctrl_pending_.size(),
              "Fabric::duplicate_pending: bad index");
-  // Byte-identical copy, seq included — exactly what the probabilistic dup
-  // fault produces, so the mailbox dedup semantics under test are the same.
+  // Identical copy, seq included and segments shared — exactly what the
+  // probabilistic dup fault produces, so the mailbox dedup semantics under
+  // test are the same.
   ctrl_pending_.push_back(ctrl_pending_[i]);
   faults_duplicated_.fetch_add(1, std::memory_order_release);
 }

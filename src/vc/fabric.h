@@ -170,7 +170,9 @@ class Fabric {
   /// Post a message for delivery. dst must be a valid rank.
   void send(Message m);
 
-  /// Total messages and bytes that have passed through the fabric.
+  /// Total messages and bytes that have passed through the fabric. Bytes
+  /// are serialized sizes (Message::wire_bytes): a segment counts its
+  /// doubles although the in-process fabric only moves its handle.
   uint64_t messages_sent() const {
     return messages_sent_.load(std::memory_order_acquire);
   }
@@ -261,10 +263,10 @@ class Fabric {
   /// Drop the i-th parked message (an explicit fault choice, counted as
   /// faults_dropped).
   void drop_pending(size_t i);
-  /// Park a byte-identical copy — same wire seq — of the i-th message at
-  /// the tail (counted as faults_duplicated). The engine delivers both
-  /// copies separately; the mailbox's exactly-once window is what must
-  /// make the second one invisible.
+  /// Park a copy — same wire seq, same segment handles — of the i-th
+  /// message at the tail (counted as faults_duplicated). The engine
+  /// delivers both copies separately; the mailbox's exactly-once window is
+  /// what must make the second one invisible.
   void duplicate_pending(size_t i);
   /// Next wire sequence number the fabric would stamp for `src` (i.e. one
   /// past the last stamped seq). The engine encodes window and pending
@@ -331,7 +333,7 @@ class Fabric {
   Rng rng_;  // fault RNG, guarded by mu_
   /// Per-source wire sequence counters (index = src rank). Each accepted
   /// message is stamped with the next value before any fault is drawn, so
-  /// an injected duplicate is a byte-identical copy, seq included.
+  /// an injected duplicate is an identical copy, seq included.
   std::vector<std::atomic<uint64_t>> wire_seq_;
   uint64_t next_seq_ = 0;
   bool stopping_ = false;

@@ -54,11 +54,24 @@ class Mailbox {
     return pop_locked();
   }
 
-  /// Pop, waiting up to `timeout`. Returns nullopt on timeout or close.
+  /// Pop, waiting up to `timeout`. Returns nullopt on timeout, close or
+  /// interrupt().
   std::optional<Message> pop_wait(std::chrono::microseconds timeout) {
     std::unique_lock lock(mu_);
-    cv_.wait_for(lock, timeout, [&] { return closed_ || !queue_.empty(); });
+    cv_.wait_for(lock, timeout,
+                 [&] { return closed_ || interrupted_ || !queue_.empty(); });
+    interrupted_ = false;
     return pop_locked();
+  }
+
+  /// End the current (or the next) pop_wait() early, message or not: the
+  /// owner has something other than mail to look at (its run is over).
+  void interrupt() {
+    {
+      std::lock_guard lock(mu_);
+      interrupted_ = true;
+    }
+    cv_.notify_all();
   }
 
   /// Wake all waiters; subsequent pushes are rejected. Messages already
@@ -159,6 +172,7 @@ class Mailbox {
   std::map<int, SeqWindow> windows_;
   std::atomic<uint64_t> duplicates_filtered_{0};
   bool closed_ = false;
+  bool interrupted_ = false;
 };
 
 }  // namespace mp::vc

@@ -1,7 +1,17 @@
 // Wire-level message for the virtual cluster, plus a tiny POD serializer.
 //
+// A message is header bytes plus segments. The header carries everything
+// small (protocol fields, tiny buffers copied inline); each segment is a
+// shared, read-only DataBuf handle to a large buffer. The in-process fabric
+// moves segment handles — refcounts, not doubles — and only a transport that
+// crosses a process boundary would serialize them. Byte accounting still
+// charges every segment its serialized size (an 8-byte count plus the
+// doubles), so wire_bytes() is what such a transport would put on the wire.
+//
 // Messages are immutable once posted to the fabric (C++ Core Guidelines
-// CP.mess): the sender moves the payload in and never touches it again.
+// CP.mess): the sender moves the header in and never writes a segment's
+// buffer again; a receiver that wants to mutate a segment must own its only
+// handle (ptg::TaskCtx::take_input copies otherwise).
 #pragma once
 
 #include <cstdint>
@@ -9,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "support/data_buf.h"
 #include "support/error.h"
 
 namespace mp::vc {
@@ -24,7 +35,21 @@ struct Message {
   /// test). Injected duplicates carry the same seq as the original, which
   /// is what lets the destination mailbox discard them (see Mailbox).
   uint64_t seq = 0;
-  Payload payload;
+  Payload header;
+  /// Shared buffers riding along with the header. A duplicate of the
+  /// message (fabric dup fault) shares these handles with the original.
+  std::vector<DataBuf> segments;
+
+  /// Serialized size: the header bytes plus, per segment, its 8-byte
+  /// element count and its doubles. What the fabric counts and what its
+  /// bandwidth model charges.
+  uint64_t wire_bytes() const {
+    uint64_t n = header.size();
+    for (const DataBuf& s : segments) {
+      n += sizeof(uint64_t) + (s ? s->size() * sizeof(double) : 0);
+    }
+    return n;
+  }
 };
 
 /// Append-only POD writer.
@@ -54,7 +79,7 @@ class WireWriter {
   Payload buf_;
 };
 
-/// Sequential POD reader over a received payload.
+/// Sequential POD reader over a received header.
 class WireReader {
  public:
   explicit WireReader(const Payload& p) : data_(p.data()), size_(p.size()) {}

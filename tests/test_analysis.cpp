@@ -234,6 +234,31 @@ TEST_F(CheckerTest, MigratedBufStillReleasesExactlyOnce) {
   EXPECT_EQ(C().finding_count(), 0u) << C().report();
 }
 
+TEST_F(CheckerTest, ReceivedHandleBelongsToTheReceiver) {
+  // The zero-copy steal path: the victim hands the handle itself off
+  // (migrate), the thief's decode takes it over (receive) after the
+  // fabric's channel edge, and the thief's task then reads and writes the
+  // very object. Only the access before the receive is MPA007.
+  int obj = 0;
+  int channel = 0;
+  in_two_threads(
+      [&] {
+        fresh_epoch();
+        C().obj_create(&obj, "DataBuf");
+        C().obj_migrate(&obj, "DataBuf");
+        C().channel_send(&channel);  // fabric delivery
+      },
+      [&] {
+        C().channel_recv(&channel);
+        C().obj_read(&obj, "DataBuf");  // before the take-over: MPA007
+        C().obj_receive(&obj, "DataBuf");
+        C().obj_read(&obj, "DataBuf");
+        C().obj_write(&obj, "DataBuf");
+      });
+  EXPECT_EQ(count_kind(FindingKind::kMigratedAccess), 1u) << C().report();
+  EXPECT_EQ(C().finding_count(), 1u) << C().report();
+}
+
 TEST_F(CheckerTest, UnorderedAccessAfterRehomeIsMPA008) {
   // Rank-failure recovery re-homes a buffer from a dead holder; any access
   // not ordered after the re-home may be stale pre-death machinery still

@@ -9,9 +9,9 @@
 // suspicion/probe/clear path on a merely-slow peer, the watchdog
 // regression pair (heartbeat chatter is not progress; exactly one deadline
 // reset per confirmed death), the t2_7 numerical acceptance run at eight
-// ranks, the simulator's death/recovery model, and the MigrationLedger
-// reassignment hook. The fault x message-fault matrix lives in
-// test_failure_stress.cpp.
+// ranks, the simulator's death/recovery model, and copy-on-take of input
+// buffers the lineage log still shares with their consumer. The fault x
+// message-fault matrix lives in test_failure_stress.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "ga/global_array.h"
-#include "ga/migration.h"
 #include "ptg/context.h"
 #include "sim/presets.h"
 #include "sim/ptg_sim.h"
@@ -80,6 +79,19 @@ void fast_detector(Options& opts) {
   opts.confirm_after_ms = 120.0;
 }
 
+/// Buffer shape of run_spread: FEED(i) outputs `elems` doubles, all equal
+/// to feed_val(i). With `take_in_place`, HEAVY takes its input over and
+/// scales every element in place (before its spin) instead of reading it,
+/// and when `kill_after_heavies` > 0 rank `victim` kills itself (fail-stop)
+/// right after its kill_after_heavies-th such HEAVY body: a crash that
+/// provably lands after the victim consumed some of its inputs.
+struct SpreadBufs {
+  size_t elems = 1;
+  bool take_in_place = false;
+  int victim = -1;
+  int kill_after_heavies = 0;
+};
+
 /// Two-layer job where every rank owns real work: FEED(i) (no inputs) is
 /// homed round-robin, HEAVY(i) (one input, `spin_us` of compute) is homed
 /// by a fixed affine map so a victim rank owns both roots and dependents.
@@ -91,7 +103,8 @@ void run_spread(vc::RankCtx& rctx, int width, int spin_us, Options opts,
                 std::vector<double>* got, std::mutex* mu,
                 std::vector<FaultReport>* reports,
                 const std::function<int64_t(int)>& heavy_group = nullptr,
-                const std::function<void(int64_t)>& group_adopted = nullptr) {
+                const std::function<void(int64_t)>& group_adopted = nullptr,
+                SpreadBufs bufs = {}) {
   const int nranks = rctx.nranks();
   const int my_rank = rctx.rank();
 
@@ -105,8 +118,8 @@ void run_spread(vc::RankCtx& rctx, int width, int spin_us, Options opts,
     for (int i = rank; i < width; i += nranks) out.push_back(params_of(i));
     return out;
   };
-  feed.body = [](TaskCtx& t) {
-    t.set_output(0, make_buf(1, feed_val(t.params()[0])));
+  feed.body = [elems = bufs.elems](TaskCtx& t) {
+    t.set_output(0, make_buf(elems, feed_val(t.params()[0])));
   };
   const auto feed_id = pool.add_class(std::move(feed));
 
@@ -123,8 +136,25 @@ void run_spread(vc::RankCtx& rctx, int width, int spin_us, Options opts,
     }
     return out;
   };
-  heavy.body = [spin_us, got, mu](TaskCtx& t) {
+  std::atomic<int> heavies_taken{0};
+  heavy.body = [spin_us, got, mu, bufs, my_rank, &rctx,
+                &heavies_taken](TaskCtx& t) {
     const int i = t.params()[0];
+    if (bufs.take_in_place) {
+      DataBuf in = t.take_input(0);
+      for (double& x : *in) x = x * 3.0 + i;
+      spin_for_us(spin_us);
+      {
+        std::lock_guard lock(*mu);
+        (*got)[static_cast<size_t>(i)] = in->back();
+      }
+      t.set_output(0, std::move(in));
+      if (my_rank == bufs.victim &&
+          heavies_taken.fetch_add(1) + 1 == bufs.kill_after_heavies) {
+        rctx.cluster().kill_rank(my_rank);
+      }
+      return;
+    }
     spin_for_us(spin_us);
     const double v = (*t.input(0))[0] * 3.0 + i;
     {
@@ -186,10 +216,14 @@ void expect_values_correct(const std::vector<double>& got) {
   }
 }
 
-void run_policy_recovery(FailurePolicy policy) {
+void run_policy_recovery(FailurePolicy policy, SpreadBufs bufs = {}) {
   const int nranks = 4, width = 96, victim = 2;
   vc::FabricConfig cfg;
-  cfg.crash_plans.push_back({victim, /*after_messages=*/60});
+  if (bufs.kill_after_heavies > 0) {
+    bufs.victim = victim;  // the victim kills itself mid-job instead
+  } else {
+    cfg.crash_plans.push_back({victim, /*after_messages=*/60});
+  }
   vc::Cluster cluster(nranks, cfg);
   std::vector<double> got(static_cast<size_t>(width), 0.0);
   std::vector<FaultReport> reports(static_cast<size_t>(nranks));
@@ -201,11 +235,12 @@ void run_policy_recovery(FailurePolicy policy) {
     fast_detector(opts);
     opts.on_rank_failure = policy;
     opts.retry_limit = 1;
-    run_spread(rctx, width, /*spin_us=*/500, opts, &got, &mu, &reports);
+    run_spread(rctx, width, /*spin_us=*/500, opts, &got, &mu, &reports,
+               nullptr, nullptr, bufs);
   });
 
   expect_values_correct(got);
-  EXPECT_TRUE(reports[victim].killed) << "the CrashPlan must have fired";
+  EXPECT_TRUE(reports[victim].killed) << "the crash must have fired";
 
   uint64_t adopted = 0, replayed = 0;
   for (int r = 0; r < nranks; ++r) {
@@ -236,6 +271,28 @@ TEST(FailureRecovery, RetryCompletesAfterSeededCrash) {
 
 TEST(FailureRecovery, DegradeCompletesAfterSeededCrash) {
   run_policy_recovery(FailurePolicy::kDegrade);
+}
+
+// --- copy-on-take keeps the lineage log's buffers intact ---
+//
+// FEED outputs above the eager limit reach a remote HEAVY as the sender's
+// own buffer object, and the sender's lineage log keeps a handle to that
+// same object for replay. HEAVY takes its input over and scales it in
+// place, and the victim dies right after its third such HEAVY. Only
+// copy-on-take keeps those in-place writes off the logged buffers:
+// without it the replay to the stand-in delivers already-scaled inputs
+// and the re-executed HEAVYs scale them twice.
+
+constexpr SpreadBufs kInPlaceLarge{4 * Context::kEagerLimit,
+                                   /*take_in_place=*/true, /*victim=*/-1,
+                                   /*kill_after_heavies=*/3};
+
+TEST(FailureRecovery, RetryReplaysUnmutatedInputsAfterInPlaceTakes) {
+  run_policy_recovery(FailurePolicy::kRetry, kInPlaceLarge);
+}
+
+TEST(FailureRecovery, DegradeReplaysUnmutatedInputsAfterInPlaceTakes) {
+  run_policy_recovery(FailurePolicy::kDegrade, kInPlaceLarge);
 }
 
 // --- degrade keeps every co-adoption group on exactly one adopter ---
@@ -783,32 +840,6 @@ TEST(FailureSim, DeathDuringStealingStillCompletes) {
   EXPECT_GT(rec.tasks_recovered, 0u);
   EXPECT_TRUE(std::isfinite(rec.makespan));
   EXPECT_GT(rec.makespan, 0.0);
-}
-
-// --- the ga-layer ledger reassignment hook ---
-
-TEST(MigrationLedgerFT, ReassignmentRetiresDeadThiefEntry) {
-  ga::MigrationLedger ledger;
-  const TaskKey key{0, params_of(7, 2)};
-  ledger.migrated(key, /*home=*/1, /*holder=*/2);
-  EXPECT_EQ(ledger.holder_of(key, 1), 2);
-
-  // Rank 2 is confirmed dead; the home rank re-injects the task itself.
-  ledger.reassigned(key, /*home=*/1, /*new_holder=*/1);
-  EXPECT_EQ(ledger.holder_of(key, 1), 1);
-  EXPECT_EQ(ledger.in_flight(), 0u);
-  EXPECT_EQ(ledger.reassigned_count(), 1u);
-  EXPECT_EQ(ledger.completed(), 0u) << "no credit ever arrives for a corpse";
-  EXPECT_EQ(ledger.validate(), "");
-  EXPECT_NE(ledger.describe().find("reassigned=1"), std::string::npos);
-}
-
-TEST(MigrationLedgerFT, ReassignmentWithoutRecordIsFlagged) {
-  ga::MigrationLedger ledger;
-  const TaskKey key{0, params_of(1)};
-  ledger.reassigned(key, /*home=*/0, /*new_holder=*/0);
-  EXPECT_NE(ledger.validate(), "")
-      << "a reassignment must retire a recorded migration";
 }
 
 }  // namespace

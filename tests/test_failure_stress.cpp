@@ -8,8 +8,9 @@
 // across the whole matrix: the job either completes with the correct
 // result or unwinds with a clean StateError; it never hangs, never
 // double-counts a replayed deposit, and every per-rank and process-wide
-// counter self-check (FailureStats, StealStats, SchedStats, FabricStats,
-// MigrationLedger) holds afterwards. Designed to run under
+// counter self-check (FailureStats, StealStats, SchedStats, FabricStats)
+// holds afterwards, and a completed job leaves no migration uncredited or
+// un-reinjected. Designed to run under
 // -DMP_SANITIZE=thread and =address.
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "ga/migration.h"
 #include "ptg/context.h"
 #include "vc/cluster.h"
 #include "vc/fabric.h"
@@ -44,6 +44,7 @@ struct FaultReport {
   FailureStats failure;
   StealStats steal;
   std::string sched_validate = "unset";
+  size_t outstanding_migrations = 0;  ///< migrated out, never credited
 };
 
 /// The spread two-layer job from test_failure.cpp: FEED(i) round-robin,
@@ -111,6 +112,7 @@ void run_spread(vc::RankCtx& rctx, int width, int spin_us, Options opts,
   rep.failure = ctx.failure_stats();
   rep.steal = ctx.steal_stats();
   rep.sched_validate = ctx.scheduler_stats().validate();
+  rep.outstanding_migrations = ctx.outstanding_migrations();
   {
     std::lock_guard lock(*mu);
     (*reports)[static_cast<size_t>(my_rank)] = rep;
@@ -136,7 +138,6 @@ StressOutcome stressed_run(uint64_t seed, vc::FaultConfig faults,
   cfg.fault_seed = seed;
   cfg.crash_plans.push_back({victim, kill_after});
   vc::Cluster cluster(nranks, cfg);
-  ga::MigrationLedger ledger;
   std::vector<double> got(static_cast<size_t>(width), 0.0);
   std::vector<FaultReport> reports(static_cast<size_t>(nranks));
   std::mutex mu;
@@ -165,7 +166,6 @@ StressOutcome stressed_run(uint64_t seed, vc::FaultConfig faults,
         opts.steal_cooldown_ms = 0.5;
         opts.steal_backoff_ms = 2.0;
         opts.steal_reply_timeout_ms = 20.0;
-        opts.migration_observer = &ledger;
       }
       run_spread(rctx, width, /*spin_us=*/400, opts, &got, &mu, &reports);
     });
@@ -176,7 +176,6 @@ StressOutcome stressed_run(uint64_t seed, vc::FaultConfig faults,
 
   // Whether the run completed or unwound, every self-check must hold.
   EXPECT_EQ(cluster.fabric().stats().validate(), "") << "seed " << seed;
-  EXPECT_EQ(ledger.validate(), "") << "seed " << seed;
   for (int r = 0; r < nranks; ++r) {
     if (reports[static_cast<size_t>(r)].sched_validate == "unset") {
       continue;  // this rank never got to report (unwound early / killed)
@@ -190,6 +189,13 @@ StressOutcome stressed_run(uint64_t seed, vc::FaultConfig faults,
   }
 
   if (out.completed) {
+    // Every migration was credited home or, its thief dead, re-injected.
+    for (int r = 0; r < nranks; ++r) {
+      const FaultReport& rep = reports[static_cast<size_t>(r)];
+      if (rep.killed) continue;
+      EXPECT_EQ(rep.outstanding_migrations, 0u)
+          << "seed " << seed << " rank " << r;
+    }
     out.values_correct = true;
     for (int i = 0; i < width; ++i) {
       if (got[static_cast<size_t>(i)] != feed_val(i) * 3.0 + i) {
@@ -217,8 +223,8 @@ TEST(FailureStress, CleanFabricDeathCompletesAcrossSeeds) {
 TEST(FailureStress, DeathDuringActiveStealingCompletes) {
   // The victim both serves steal requests and (being loaded like everyone
   // else) can hold migrated-in work when it dies; the home ranks must
-  // re-inject those tasks and the ledger must retire the corpse's entries
-  // via reassigned(), not credits.
+  // re-inject those tasks, retiring the corpse's outstanding migrations
+  // without credits.
   for (const uint64_t seed : {21ull, 22ull, 23ull}) {
     const StressOutcome out =
         stressed_run(seed, vc::FaultConfig{}, /*stealing=*/true);

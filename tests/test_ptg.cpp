@@ -1,14 +1,17 @@
 // Tests for the PTG runtime: dataflow correctness for chain and
 // fan-out/reduction graphs (the paper's Fig. 1 / Fig. 2 shapes), remote
-// activations across ranks, priorities, scheduler policies, tracing, and
-// API misuse detection.
+// activations across ranks (large buffers arrive as the producer's own
+// object, small ones as copies; take_input copies on write), priorities,
+// scheduler policies, tracing, and API misuse detection.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ptg/context.h"
@@ -461,6 +464,199 @@ TEST(Context, RunTwiceReexecutesTheGraph) {
     EXPECT_EQ(ctx.last_reset_report().submission, 1u);
     EXPECT_EQ(ctx.last_reset_report().pending_deposits, 0u);
   });
+}
+
+// --- take_input: copy on write, and an empty slot raises ---
+
+TEST(TaskCtx, TakeInputRaisesOnAnEmptySlot) {
+  TaskCtx t(nullptr, TaskKey{0, params_of(0)}, {nullptr, make_buf(2, 1.0)},
+            0);
+  EXPECT_THROW(t.take_input(0), InvalidArgument);  // never deposited
+  EXPECT_THROW(t.take_input(2), InvalidArgument);  // no such slot
+  ASSERT_NE(t.take_input(1), nullptr);
+  EXPECT_THROW(t.take_input(1), InvalidArgument);  // already taken
+  EXPECT_THROW(t.input(1), InvalidArgument);
+}
+
+TEST(TaskCtx, TakeInputCopiesOnlyWhenTheHandleIsShared) {
+  DataBuf sole = make_buf(4, 2.0);
+  const std::vector<double>* sole_obj = sole.get();
+  const DataBuf shared = make_buf(4, 3.0);
+  TaskCtx t(nullptr, TaskKey{0, params_of(0)}, {std::move(sole), shared}, 0);
+  // The task holds the only handle: it gets the buffer itself.
+  EXPECT_EQ(t.take_input(0).get(), sole_obj);
+  // Someone else still holds one: the task gets a private, equal copy.
+  const DataBuf taken = t.take_input(1);
+  ASSERT_NE(taken, shared);
+  EXPECT_EQ(*taken, *shared);
+  (*taken)[0] = -1.0;
+  EXPECT_EQ((*shared)[0], 3.0);
+}
+
+// --- zero-copy data plane: large buffers cross ranks as handles ---
+
+/// PROD(i) on rank 0 -> CONS(i) on rank 1, one buffer of `elems[i]`
+/// doubles each. CONS reports whether its input is PROD's own object
+/// (compared through a weak_ptr, which keeps the producer's control block
+/// and so its identity alive), whether take_input handed that object
+/// over, and whether the contents arrived intact.
+struct CrossRankSeen {
+  bool same_object = false;
+  bool took_same_object = false;
+  bool contents_ok = false;
+};
+
+std::vector<CrossRankSeen> run_cross_rank(const std::vector<size_t>& elems) {
+  const int n = static_cast<int>(elems.size());
+  std::vector<std::weak_ptr<std::vector<double>>> produced(elems.size());
+  std::vector<CrossRankSeen> seen(elems.size());
+  std::mutex mu;
+  vc::Cluster cluster(2);
+  cluster.run([&](vc::RankCtx& rctx) {
+    Taskpool pool;
+    TaskClass prod;
+    prod.name = "PROD";
+    prod.rank_of = [](const Params&) { return 0; };
+    prod.num_task_inputs = [](const Params&) { return 0; };
+    prod.enumerate_rank = [n](int rank) {
+      std::vector<Params> out;
+      for (int i = 0; rank == 0 && i < n; ++i) out.push_back(params_of(i));
+      return out;
+    };
+    prod.body = [&](TaskCtx& t) {
+      const auto i = static_cast<size_t>(t.params()[0]);
+      DataBuf buf = make_buf(elems[i]);
+      std::iota(buf->begin(), buf->end(), static_cast<double>(i));
+      {
+        std::lock_guard lock(mu);
+        produced[i] = buf;
+      }
+      t.set_output(0, std::move(buf));
+    };
+    TaskClass cons;
+    cons.name = "CONS";
+    cons.rank_of = [](const Params&) { return 1; };
+    cons.num_task_inputs = [](const Params&) { return 1; };
+    cons.enumerate_rank = [n](int rank) {
+      std::vector<Params> out;
+      for (int i = 0; rank == 1 && i < n; ++i) out.push_back(params_of(i));
+      return out;
+    };
+    cons.body = [&](TaskCtx& t) {
+      const auto i = static_cast<size_t>(t.params()[0]);
+      CrossRankSeen r;
+      const std::vector<double>* producers_obj = nullptr;
+      {
+        std::lock_guard lock(mu);
+        const DataBuf producers = produced[i].lock();
+        r.same_object = producers != nullptr && producers == t.input(0);
+        producers_obj = producers.get();
+      }
+      std::vector<double> want(elems[i]);
+      std::iota(want.begin(), want.end(), static_cast<double>(i));
+      r.contents_ok = *t.input(0) == want;
+      // Taken while the producer's object (if it is this one) still lives,
+      // so a copy cannot reuse its address.
+      r.took_same_object =
+          producers_obj != nullptr && t.take_input(0).get() == producers_obj;
+      std::lock_guard lock(mu);
+      seen[i] = r;
+    };
+    const auto prod_id = pool.add_class(std::move(prod));
+    const auto cons_id = pool.add_class(std::move(cons));
+    pool.mutable_cls(prod_id).route_outputs =
+        [cons_id](const Params& p, std::vector<OutRoute>& r) {
+          r.push_back({TaskKey{cons_id, p}, 0, 0});
+        };
+    Context ctx(rctx, pool);
+    ctx.run();
+  });
+  return seen;
+}
+
+TEST(ZeroCopy, ActivationAboveTheEagerLimitDeliversTheProducersBuffer) {
+  const size_t limit = Context::kEagerLimit;
+  const auto seen = run_cross_rank({limit + 1, 64 * limit});
+  for (const CrossRankSeen& r : seen) {
+    EXPECT_TRUE(r.contents_ok);
+    EXPECT_TRUE(r.same_object) << "a large buffer was copied across ranks";
+    EXPECT_TRUE(r.took_same_object)
+        << "the consumer holds the only handle, yet take_input copied";
+  }
+}
+
+TEST(ZeroCopy, ActivationAtOrBelowTheEagerLimitArrivesAsAnEqualCopy) {
+  const size_t limit = Context::kEagerLimit;
+  for (const CrossRankSeen& r : run_cross_rank({1, limit})) {
+    EXPECT_TRUE(r.contents_ok);
+    EXPECT_FALSE(r.same_object) << "a small buffer must travel inline";
+  }
+}
+
+TEST(ZeroCopy, FanOutTakerGetsAPrivateCopy) {
+  // PROD(i) on rank 0 routes one large output to LOCAL(i) on rank 0, which
+  // takes it over and overwrites it, and to REMOTE(i) on rank 1, which
+  // reads it a little later. Both received the same object; only copy-on-
+  // take keeps LOCAL's writes out of what REMOTE reads.
+  const int n = 32;
+  const size_t elems = 4 * Context::kEagerLimit;
+  std::atomic<int> bad_reads{0}, reads{0};
+  vc::Cluster cluster(2);
+  cluster.run([&](vc::RankCtx& rctx) {
+    Taskpool pool;
+    TaskClass prod;
+    prod.name = "PROD";
+    prod.rank_of = [](const Params&) { return 0; };
+    prod.num_task_inputs = [](const Params&) { return 0; };
+    prod.enumerate_rank = [n](int rank) {
+      return rank == 0 ? round_robin(n, 1)(0) : std::vector<Params>{};
+    };
+    prod.body = [elems](TaskCtx& t) {
+      t.set_output(0, make_buf(elems, 1.0 + t.params()[0]));
+    };
+    TaskClass local;
+    local.name = "LOCAL";
+    local.rank_of = [](const Params&) { return 0; };
+    local.num_task_inputs = [](const Params&) { return 1; };
+    local.enumerate_rank = prod.enumerate_rank;
+    local.body = [](TaskCtx& t) {
+      DataBuf mine = t.take_input(0);
+      std::fill(mine->begin(), mine->end(), -1.0);
+    };
+    TaskClass remote;
+    remote.name = "REMOTE";
+    remote.rank_of = [](const Params&) { return 1; };
+    remote.num_task_inputs = [](const Params&) { return 1; };
+    remote.enumerate_rank = [n](int rank) {
+      return rank == 1 ? round_robin(n, 1)(0) : std::vector<Params>{};
+    };
+    remote.body = [&](TaskCtx& t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      const double want = 1.0 + t.params()[0];
+      for (double x : *t.input(0)) {
+        if (x != want) {
+          bad_reads.fetch_add(1);
+          break;
+        }
+      }
+      reads.fetch_add(1);
+    };
+    const auto prod_id = pool.add_class(std::move(prod));
+    const auto local_id = pool.add_class(std::move(local));
+    const auto remote_id = pool.add_class(std::move(remote));
+    pool.mutable_cls(prod_id).route_outputs =
+        [local_id, remote_id](const Params& p, std::vector<OutRoute>& r) {
+          r.push_back({TaskKey{remote_id, p}, 0, 0});
+          r.push_back({TaskKey{local_id, p}, 0, 0});
+        };
+    Options opts;
+    opts.num_workers = 2;
+    Context ctx(rctx, pool, opts);
+    ctx.run();
+  });
+  EXPECT_EQ(reads.load(), n);
+  EXPECT_EQ(bad_reads.load(), 0)
+      << "a local consumer mutated the buffer a remote sibling reads";
 }
 
 TEST(Context, MissingOutputIsDiagnosed) {

@@ -4,7 +4,8 @@
 // imbalanced two-layer job whose heavy tasks all live on one rank must
 // complete correctly while tasks migrate, with every cross-rank counter
 // pair (migrations out/in, credits sent/received) matching exactly and
-// the ga-layer MigrationLedger quiescent. Also the watchdog regression
+// no migration left uncredited. Large input buffers migrate as handles,
+// not copies. Also the watchdog regression
 // pair for the outstanding-work deadline scaling, the simulator's
 // skewed-tile acceptance gate, and the imbalance generators' invariants.
 // The fault-injection half of the story lives in test_steal_stress.cpp.
@@ -12,13 +13,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ga/migration.h"
 #include "ptg/context.h"
 #include "sim/presets.h"
 #include "sim/ptg_sim.h"
@@ -49,6 +50,7 @@ struct RankReport {
   StealStats steal;
   std::string sched_validate = "unset";
   std::string steal_validate = "unset";
+  size_t outstanding_migrations = 0;  ///< migrated out, never credited
 };
 
 /// Two-layer imbalanced job: FEED(i) is spread round-robin over the
@@ -118,6 +120,7 @@ void run_imbalanced(vc::RankCtx& rctx, int width, int spin_us,
   rep.steal = ctx.steal_stats();
   rep.sched_validate = ctx.scheduler_stats().validate();
   rep.steal_validate = rep.steal.validate();
+  rep.outstanding_migrations = ctx.outstanding_migrations();
   {
     std::lock_guard lock(*mu);
     (*reports)[static_cast<size_t>(my_rank)] = rep;
@@ -130,7 +133,6 @@ void run_imbalanced(vc::RankCtx& rctx, int width, int spin_us,
 TEST(StealFunctional, ImbalancedJobCompletesMigratesAndCountersPair) {
   const int nranks = 4, width = 160, spin_us = 400;
   vc::Cluster cluster(nranks);
-  ga::MigrationLedger ledger;
   std::vector<double> got(static_cast<size_t>(width), 0.0);
   std::vector<int> exec_rank(static_cast<size_t>(width), -1);
   std::vector<RankReport> reports(static_cast<size_t>(nranks));
@@ -142,7 +144,6 @@ TEST(StealFunctional, ImbalancedJobCompletesMigratesAndCountersPair) {
     opts.enable_stealing = true;
     opts.steal_cooldown_ms = 0.5;
     opts.steal_backoff_ms = 2.0;
-    opts.migration_observer = &ledger;
     run_imbalanced(rctx, width, spin_us, /*heavy_migratable=*/true, opts,
                    &got, &exec_rank, &mu, &reports);
   });
@@ -162,6 +163,8 @@ TEST(StealFunctional, ImbalancedJobCompletesMigratesAndCountersPair) {
     EXPECT_EQ(rep.completed, rep.expected) << "rank " << r;
     EXPECT_EQ(rep.sched_validate, "") << "rank " << r;
     EXPECT_EQ(rep.steal_validate, "") << "rank " << r;
+    // Global completion: every migration was credited home.
+    EXPECT_EQ(rep.outstanding_migrations, 0u) << "rank " << r;
     sum_exec += rep.executed;
     sum_expected += rep.expected;
     out += rep.steal.tasks_migrated_out;
@@ -186,13 +189,6 @@ TEST(StealFunctional, ImbalancedJobCompletesMigratesAndCountersPair) {
     if (exec_rank[static_cast<size_t>(i)] != 0) ++off_home;
   }
   EXPECT_LE(off_home, in);
-
-  // The ownership ledger drained: one record per migration, one credit
-  // per record, nothing left in flight.
-  EXPECT_EQ(ledger.validate(), "");
-  EXPECT_EQ(ledger.recorded(), out);
-  EXPECT_EQ(ledger.completed(), ledger.recorded());
-  EXPECT_EQ(ledger.in_flight(), 0u);
 }
 
 // --- classes marked non-migratable never leave home ---
@@ -225,27 +221,170 @@ TEST(StealFunctional, NonMigratableClassAlwaysRunsAtHome) {
   }
 }
 
-// --- the ga-layer ledger in isolation ---
+// --- inputs above the eager limit migrate as handles ---
 
-TEST(MigrationLedger, RecordsHolderUntilCredited) {
-  ga::MigrationLedger ledger;
-  const TaskKey key{0, params_of(3, 1)};
-  EXPECT_EQ(ledger.holder_of(key, /*home=*/1), 1);
+/// What HEAVY(i) observed about its input in run_large_inputs.
+struct LargeInputSeen {
+  int exec_rank = -1;
+  bool read_producers_object = false;  ///< input(0) was FEED(i)'s buffer
+  bool took_producers_object = false;  ///< take_input(0) did not copy
+  bool values_ok = false;
+};
 
-  ledger.migrated(key, /*home=*/1, /*holder=*/2);
-  EXPECT_EQ(ledger.holder_of(key, 1), 2);
-  EXPECT_EQ(ledger.in_flight(), 1u);
-  EXPECT_EQ(ledger.recorded(), 1u);
-  EXPECT_NE(ledger.describe(), "");
+/// The imbalanced FEED -> HEAVY job of run_imbalanced with buffers larger
+/// than Context::kEagerLimit, so activations and steal replies carry the
+/// handles themselves. HEAVY takes its input over and scales it in place.
+/// Each FEED(i) leaves a weak_ptr to its output in `feed_objs` (it keeps
+/// the control block, so no later buffer can alias it), which HEAVY(i)
+/// compares against what it received.
+void run_large_inputs(vc::RankCtx& rctx, int width, size_t elems,
+                      Options opts,
+                      std::vector<std::weak_ptr<std::vector<double>>>* feed_objs,
+                      std::vector<LargeInputSeen>* seen, std::mutex* mu,
+                      std::vector<RankReport>* reports) {
+  const int nranks = rctx.nranks();
+  const int my_rank = rctx.rank();
 
-  ledger.credited(key, 1, 2);
-  EXPECT_EQ(ledger.holder_of(key, 1), 1);
-  EXPECT_EQ(ledger.in_flight(), 0u);
-  EXPECT_EQ(ledger.completed(), 1u);
-  EXPECT_EQ(ledger.validate(), "");
-  // The summary keeps the cumulative counts for watchdog dumps; only a
-  // ledger that never saw a migration stays silent.
-  EXPECT_NE(ledger.describe().find("in_flight=0"), std::string::npos);
+  Taskpool pool;
+  TaskClass feed;
+  feed.name = "FEED";
+  feed.rank_of = [nranks](const Params& p) { return p[0] % nranks; };
+  feed.num_task_inputs = [](const Params&) { return 0; };
+  feed.enumerate_rank = [nranks, width](int rank) {
+    std::vector<Params> out;
+    for (int i = rank; i < width; i += nranks) out.push_back(params_of(i));
+    return out;
+  };
+  feed.body = [elems, feed_objs, mu](TaskCtx& t) {
+    const int i = t.params()[0];
+    DataBuf buf = make_buf(elems);
+    for (size_t j = 0; j < elems; ++j) {
+      (*buf)[j] = feed_val(i) + static_cast<double>(j);
+    }
+    {
+      std::lock_guard lock(*mu);
+      (*feed_objs)[static_cast<size_t>(i)] = buf;
+    }
+    t.set_output(0, std::move(buf));
+  };
+  const auto feed_id = pool.add_class(std::move(feed));
+
+  TaskClass heavy;
+  heavy.name = "HEAVY";
+  heavy.rank_of = [](const Params&) { return 0; };
+  heavy.num_task_inputs = [](const Params&) { return 1; };
+  heavy.enumerate_rank = [width](int rank) {
+    std::vector<Params> out;
+    if (rank == 0) {
+      for (int i = 0; i < width; ++i) out.push_back(params_of(i));
+    }
+    return out;
+  };
+  heavy.body = [elems, feed_objs, seen, mu, my_rank](TaskCtx& t) {
+    const int i = t.params()[0];
+    spin_for_us(300);
+    // Compare against the producer's object while it is provably alive,
+    // and drop the extra handle before take_input counts the holders. A
+    // copy is allocated while the original still lives, so it can never
+    // come back at the original's address.
+    const std::vector<double>* producers_obj = nullptr;
+    bool read_same = false;
+    {
+      std::lock_guard lock(*mu);
+      const DataBuf producers = (*feed_objs)[static_cast<size_t>(i)].lock();
+      read_same = producers != nullptr && producers == t.input(0);
+      producers_obj = producers.get();
+    }
+    DataBuf in = t.take_input(0);
+    const bool took_same = in.get() == producers_obj;
+    bool ok = in->size() == elems;
+    for (size_t j = 0; ok && j < elems; ++j) {
+      ok = (*in)[j] == feed_val(i) + static_cast<double>(j);
+      (*in)[j] = (*in)[j] * 3.0 + i;
+    }
+    std::lock_guard lock(*mu);
+    (*seen)[static_cast<size_t>(i)] =
+        LargeInputSeen{my_rank, read_same, took_same, ok};
+  };
+  const auto heavy_id = pool.add_class(std::move(heavy));
+  pool.mutable_cls(feed_id).route_outputs =
+      [heavy_id](const Params& p, std::vector<OutRoute>& r) {
+        r.push_back({TaskKey{heavy_id, p}, 0, 0});
+      };
+
+  opts.num_workers = 2;
+  opts.enable_stealing = true;
+  opts.steal_cooldown_ms = 0.5;
+  opts.steal_backoff_ms = 2.0;
+  Context ctx(rctx, pool, opts);
+  ctx.run();
+
+  RankReport rep;
+  rep.steal = ctx.steal_stats();
+  rep.steal_validate = rep.steal.validate();
+  rep.outstanding_migrations = ctx.outstanding_migrations();
+  std::lock_guard lock(*mu);
+  (*reports)[static_cast<size_t>(my_rank)] = rep;
+}
+
+/// Runs run_large_inputs on 4 ranks and checks what every rank and every
+/// HEAVY body reported; returns the HEAVY observations.
+std::vector<LargeInputSeen> check_large_inputs(bool failure_detection) {
+  const int nranks = 4, width = 96;
+  const size_t elems = 8 * Context::kEagerLimit + 3;
+  vc::Cluster cluster(nranks);
+  std::vector<std::weak_ptr<std::vector<double>>> feed_objs(
+      static_cast<size_t>(width));
+  std::vector<LargeInputSeen> seen(static_cast<size_t>(width));
+  std::vector<RankReport> reports(static_cast<size_t>(nranks));
+  std::mutex mu;
+  cluster.run([&](vc::RankCtx& rctx) {
+    Options opts;
+    opts.enable_failure_detection = failure_detection;
+    run_large_inputs(rctx, width, elems, opts, &feed_objs, &seen, &mu,
+                     &reports);
+  });
+  uint64_t migrated_in = 0;
+  for (int r = 0; r < nranks; ++r) {
+    const RankReport& rep = reports[static_cast<size_t>(r)];
+    EXPECT_EQ(rep.steal_validate, "") << "rank " << r;
+    EXPECT_EQ(rep.outstanding_migrations, 0u) << "rank " << r;
+    migrated_in += rep.steal.tasks_migrated_in;
+  }
+  EXPECT_GT(migrated_in, 0u) << "the imbalance is the point: work must move";
+  int off_home = 0;
+  for (int i = 0; i < width; ++i) {
+    const LargeInputSeen& s = seen[static_cast<size_t>(i)];
+    EXPECT_TRUE(s.values_ok) << "HEAVY(" << i << ") on rank " << s.exec_rank;
+    // Activations and steal replies alike deliver FEED(i)'s own buffer.
+    EXPECT_TRUE(s.read_producers_object)
+        << "HEAVY(" << i << ") on rank " << s.exec_rank
+        << " read a copy of its input";
+    if (s.exec_rank != 0) ++off_home;
+  }
+  EXPECT_GT(off_home, 0) << "no HEAVY body ran on a thief";
+  return seen;
+}
+
+TEST(StealFunctional, LargeInputsMigrateAsHandlesAndAreTakenInPlace) {
+  // Nothing else holds a handle: the producer moved it into the route, the
+  // victim moved it into the reply. Every take is the producer's object.
+  for (const LargeInputSeen& s : check_large_inputs(false)) {
+    EXPECT_TRUE(s.took_producers_object)
+        << "take_input copied an input only one task holds (rank "
+        << s.exec_rank << ")";
+  }
+}
+
+TEST(StealFunctional, LargeInputsMigrateAsHandlesUnderFailureDetection) {
+  // Failure detection retains every stolen task's inputs for re-injection,
+  // so a thief shares them with its victim and must take a copy.
+  for (const LargeInputSeen& s : check_large_inputs(true)) {
+    if (s.exec_rank != 0) {
+      EXPECT_FALSE(s.took_producers_object)
+          << "a thief mutated an input its victim still retains";
+    }
+  }
 }
 
 // --- watchdog regression: the deadline scales with outstanding work ---

@@ -1,5 +1,7 @@
 // Tests for the virtual cluster: mailboxes, wire serialization, fabric
-// routing (immediate and delayed), SPMD execution, collectives, counters.
+// routing (immediate and delayed), message segments (shared handles that
+// are still charged their serialized size), SPMD execution, collectives,
+// counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -292,7 +294,7 @@ TEST(Fabric, SendAfterShutdownCountsDroppedNotSent) {
   f.shutdown();
   Message m;
   m.dst = 0;
-  m.payload.assign(16, 0);
+  m.header.assign(16, 0);
   f.send(std::move(m));
   const FabricStats s = f.stats();
   EXPECT_EQ(s.messages_sent, 0u);
@@ -301,6 +303,111 @@ TEST(Fabric, SendAfterShutdownCountsDroppedNotSent) {
   EXPECT_EQ(s.bytes_dropped, 16u);
   EXPECT_EQ(f.messages_dropped(), 1u);
   EXPECT_FALSE(boxes[0].try_pop().has_value());
+}
+
+// --- message segments: handles move, bytes are still counted ---
+
+/// A message from rank 0 to rank 1 with a `header_bytes`-byte header and
+/// one segment per entry of `segment_elems`.
+Message segment_message(size_t header_bytes,
+                        const std::vector<size_t>& segment_elems) {
+  Message m;
+  m.src = 0;
+  m.dst = 1;
+  m.header.assign(header_bytes, 0x5a);
+  for (size_t n : segment_elems) {
+    m.segments.push_back(std::make_shared<std::vector<double>>(n, 1.5));
+  }
+  return m;
+}
+
+/// Header bytes plus, per segment, its 8-byte count and its doubles.
+uint64_t serialized_size(size_t header_bytes,
+                         const std::vector<size_t>& segment_elems) {
+  uint64_t n = header_bytes;
+  for (size_t e : segment_elems) n += 8 + 8 * e;
+  return n;
+}
+
+TEST(Fabric, DuplicatedSegmentMessageReachesConsumerOnceSharingTheHandle) {
+  std::vector<Mailbox> boxes(2);
+  FabricConfig cfg;
+  cfg.faults.dup_prob = 1.0;
+  cfg.latency_us = 50000.0;  // both copies sit in the fabric for a while
+  Fabric f(&boxes, cfg);
+  Message m = segment_message(12, {1000});
+  const DataBuf buf = m.segments[0];
+  f.send(std::move(m));
+  EXPECT_EQ(f.stats().faults_duplicated, 1u);
+  // Both in-flight copies hold the sender's handle: no deep copy was made.
+  EXPECT_EQ(buf.use_count(), 3);
+
+  auto got = boxes[1].pop_wait(2s);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->segments.size(), 1u);
+  EXPECT_EQ(got->segments[0], buf);
+  // The second copy carries the same wire seq and is filtered, so the
+  // consumer sees the message once and the duplicate's handle is gone
+  // (released just after the filter counts it, hence the wait on both).
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while ((boxes[1].duplicates_filtered() == 0 || buf.use_count() != 2) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(boxes[1].duplicates_filtered(), 1u);
+  EXPECT_EQ(boxes[1].size(), 0u);
+  EXPECT_EQ(buf.use_count(), 2);  // this test + the consumer's message
+}
+
+TEST(Fabric, BytesSentChargeHeaderPlusEachSegmentsSerializedSize) {
+  std::vector<Mailbox> boxes(2);
+  Fabric f(&boxes, {});
+  const std::vector<size_t> elems{3, 100, 0};
+  Message m = segment_message(23, elems);
+  EXPECT_EQ(m.wire_bytes(), serialized_size(23, elems));
+  f.send(std::move(m));
+  f.send(segment_message(5, {}));
+  const FabricStats s = f.stats();
+  EXPECT_EQ(s.messages_sent, 2u);
+  EXPECT_EQ(s.bytes_sent, serialized_size(23, elems) + 5);
+  EXPECT_EQ(s.bytes_sent, 23u + (8 + 24) + (8 + 800) + 8 + 5);
+}
+
+TEST(Fabric, RefusedSegmentMessageCountsItsSerializedSizeDropped) {
+  std::vector<Mailbox> boxes(2);
+  FabricConfig cfg;
+  cfg.latency_us = 100.0;
+  Fabric f(&boxes, cfg);
+  f.shutdown();
+  f.send(segment_message(16, {10}));
+  const FabricStats s = f.stats();
+  EXPECT_EQ(s.messages_sent, 0u);
+  EXPECT_EQ(s.bytes_sent, 0u);
+  EXPECT_EQ(s.messages_dropped, 1u);
+  EXPECT_EQ(s.bytes_dropped, serialized_size(16, {10}));
+  EXPECT_FALSE(boxes[1].try_pop().has_value());
+}
+
+TEST(Fabric, BandwidthDelayChargesSegmentsTheirSerializedSize) {
+  // 1 MB/s: a 12,500-double segment (100,008 serialized bytes) must take
+  // ~100 ms although its header is empty — the segment is charged as if
+  // it were on the wire, exactly like the same bytes in a header.
+  std::vector<Mailbox> boxes(2);
+  FabricConfig cfg;
+  cfg.bandwidth_Bps = 1e6;
+  Fabric f(&boxes, cfg);
+  for (const bool as_segment : {true, false}) {
+    Message m = as_segment ? segment_message(0, {12500})
+                           : segment_message(100008, {});
+    EXPECT_EQ(m.wire_bytes(), 100008u);
+    const auto t0 = std::chrono::steady_clock::now();
+    f.send(std::move(m));
+    auto got = boxes[1].pop_wait(5s);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, 90ms)
+        << (as_segment ? "segment" : "header");
+  }
+  EXPECT_EQ(f.stats().bytes_sent, 2u * 100008u);
 }
 
 TEST(Fabric, InjectedDropsCountedAndNotDelivered) {
@@ -419,7 +526,7 @@ TEST(Cluster, SendRecvAcrossRanks) {
       ASSERT_TRUE(m.has_value());
       EXPECT_EQ(m->src, 0);
       EXPECT_EQ(m->tag, 7);
-      WireReader r(m->payload);
+      WireReader r(m->header);
       EXPECT_EQ(r.get<int>(), 123);
     }
   });

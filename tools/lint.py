@@ -54,6 +54,14 @@ Checks, each with a stable rule id:
                          (per-function target attributes + a cached
                          __builtin_cpu_supports check, as in
                          src/linalg/gemm.cpp).
+  bulk-copy-outside-codec No WireWriter::put_doubles / WireReader::
+                         get_doubles call under src/ outside the data-plane
+                         codec (encode_buf / decode_buf in
+                         src/ptg/context.cpp). The codec copies only
+                         buffers up to the eager limit and ships larger
+                         ones as shared message segments; any other call
+                         site would bring back a bulk copy of task data
+                         on the data plane.
 
 Exit status: 0 clean, 1 findings, 2 internal error.
 Usage: tools/lint.py [--tidy] [paths...]   (default: src/ bench/)
@@ -78,6 +86,12 @@ WAIVER = "mp-lint: allow(lock-in-task-body)"
 PP_COND_RE = re.compile(
     r"^[ \t]*#[ \t]*(?:if|ifdef|ifndef|elif)\b(?:[^\n]*\\\n)*[^\n]*", re.M)
 ISA_MACRO_RE = re.compile(r"\b__(?:AVX\w*|FMA|SSE\w*)__\b")
+# A call of the wire serializer's bulk double copy, e.g. `w.put_doubles(`
+# or `r->get_doubles(`; the definitions in src/vc/message.h do not match.
+BULK_COPY_RE = re.compile(r"(?:\.|->)\s*((?:put|get)_doubles)\s*\(")
+CODEC_FILE = "src/ptg/context.cpp"
+CODEC_FNS = ("encode_buf", "decode_buf")
+CODEC_DEF_RE = re.compile(r"\b(encode_buf|decode_buf)\s*\([^;{]*\)\s*\{")
 
 
 def strip_comments_and_strings(text):
@@ -153,6 +167,9 @@ def lint_file(path, findings):
                  "raw `new std::vector<double>`; use make_buf/"
                  "make_buf_pooled (src/ptg/types.h)"))
 
+    if in_src:
+        lint_bulk_copies(rel, text, code, findings)
+
     if str(rel) == "src/ptg/context.cpp":
         lint_reset_stats(path, rel, text, code, findings)
         if lint_tag_switches(rel, text, code, findings) == 0:
@@ -206,6 +223,34 @@ def lint_file(path, findings):
                      "iostream-in-header",
                      "<iostream> in a src/ header; use <cstdio> or "
                      "support/log.h in the .cpp"))
+
+
+def lint_bulk_copies(rel, text, code, findings):
+    """bulk-copy-outside-codec: put_doubles/get_doubles calls under src/
+    are allowed only inside the codec functions of src/ptg/context.cpp.
+    If the codec disappears from that file the rule reports, so renaming
+    it cannot silently retire the rule."""
+    allowed = []
+    if str(rel) == CODEC_FILE:
+        found = set()
+        for m in CODEC_DEF_RE.finditer(code):
+            found.add(m.group(1))
+            allowed.append(lambda_span(code, m.end() - 1))
+        for fn in CODEC_FNS:
+            if fn not in found:
+                findings.append(
+                    (rel, 1, "bulk-copy-outside-codec",
+                     f"codec function `{fn}` not found; the data-plane "
+                     "copy rule cannot anchor (update tools/lint.py if "
+                     "the codec moved)"))
+    for m in BULK_COPY_RE.finditer(code):
+        if any(lo <= m.start() < hi for lo, hi in allowed):
+            continue
+        findings.append(
+            (rel, line_of(text, m.start()), "bulk-copy-outside-codec",
+             f"`{m.group(1)}` outside the data-plane codec (encode_buf/"
+             f"decode_buf in {CODEC_FILE}); route the buffer through the "
+             "codec, which ships large buffers as shared segments"))
 
 
 RESET_FN_RE = re.compile(r"void\s+Context::reset_local_state\s*\([^)]*\)\s*\{")
