@@ -230,12 +230,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- scheduler push/pop --------------------------------------------------
-  for (auto policy :
-       {ptg::SchedPolicy::kPriority, ptg::SchedPolicy::kStealing}) {
-    auto sched = ptg::Scheduler::create(policy, 2);
+  {
+    ptg::Scheduler sched(2);
     constexpr int kBurst = 256;
     bench::BenchCase bc;
-    bc.name = std::string("sched_") + ptg::to_string(policy);
+    bc.name = "sched_push_pop";
     bc.kind = "sched";
     bc.metric = "mops";
     bc.params = {{"burst", kBurst}};
@@ -245,10 +244,10 @@ int main(int argc, char** argv) {
           for (int i = 0; i < kBurst; ++i) {
             t.priority = i & 7;
             t.seq = static_cast<uint64_t>(i);
-            sched->push(t, 0);
+            sched.push(t, 0);
           }
           ptg::ReadyTask got;
-          while (sched->try_pop(got, 0)) {
+          while (sched.try_pop(got, 0)) {
           }
         },
         2.0 * kBurst * 1e-6, reps, min_sample);

@@ -67,15 +67,13 @@ int main(int argc, char** argv) {
                 "-", max_diff(res.r_dense), t.millis(), "-", "-");
   }
 
-  // Every PTG variant under the default priority scheduler, then the best
-  // variant again under the work-stealing scheduler (reports steal counts;
-  // the contention column shows how many queue-lock acquisitions blocked).
-  auto run_ptg = [&](const char* label, const tce::VariantConfig& variant,
-                     ptg::SchedPolicy policy) {
+  // Every PTG variant. The scheduler column reports intra-rank steals
+  // between the workers' ready heaps and how many heap-lock acquisitions
+  // blocked.
+  auto run_ptg = [&](const char* label, const tce::VariantConfig& variant) {
     cc::LadderRunOptions opts;
     opts.kind = cc::ExecKind::kPtg;
     opts.variant = variant;
-    opts.policy = policy;
     opts.workers_per_rank = 2;
     opts.enable_tracing = true;
     WallTimer t;
@@ -107,9 +105,8 @@ int main(int argc, char** argv) {
   };
 
   for (const auto& variant : tce::VariantConfig::all()) {
-    run_ptg(variant.name.c_str(), variant, ptg::SchedPolicy::kPriority);
+    run_ptg(variant.name.c_str(), variant);
   }
-  run_ptg("v5+steal", tce::VariantConfig::v5(), ptg::SchedPolicy::kStealing);
 
   std::printf("\nAll max|err| values should be < 1e-12: every variant "
               "computes the identical result (paper Section IV-A, \"matched "

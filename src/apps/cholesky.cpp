@@ -254,7 +254,6 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
 
     ptg::Options ropts;
     ropts.num_workers = opts.workers_per_rank;
-    ropts.policy = opts.policy;
     ropts.enable_tracing = opts.enable_tracing;
     ptg::Context ctx(rctx, pool, ropts);
     ctx.run();

@@ -27,7 +27,6 @@ struct TiledCholeskyOptions {
   int tiles = 4;        ///< tile grid dimension T (matrix is T*b x T*b)
   int tile_size = 8;    ///< tile dimension b
   int workers_per_rank = 2;
-  ptg::SchedPolicy policy = ptg::SchedPolicy::kPriority;
   bool enable_tracing = false;
 };
 

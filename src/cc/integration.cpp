@@ -13,7 +13,6 @@ namespace {
 tce::PtgExecOptions exec_options(const LadderRunOptions& opts) {
   tce::PtgExecOptions popts;
   popts.variant = opts.variant;
-  popts.policy = opts.policy;
   popts.workers_per_rank = opts.workers_per_rank;
   popts.enable_tracing = opts.enable_tracing;
   popts.enable_stealing = opts.enable_stealing;
@@ -116,13 +115,12 @@ const char* DistributedLadder::subroutine_name(Contraction c) {
 
 tce::PtgSession& DistributedLadder::session_for(const LadderRunOptions& opts) {
   // Sessions are keyed by everything that shapes the runtime, not just the
-  // template: two runs with the same graph but different scheduler policy
-  // or worker count need different persistent Contexts.
+  // template: two runs with the same graph but a different worker count
+  // need different persistent Contexts.
   std::string skey = subroutine_name(opts.contraction);
   skey += '/';
   skey += tce::variant_signature(opts.variant);
-  skey += "/p" + std::to_string(static_cast<int>(opts.policy));
-  skey += "w" + std::to_string(opts.workers_per_rank);
+  skey += "/w" + std::to_string(opts.workers_per_rank);
   skey += opts.enable_tracing ? "t1" : "t0";
   skey += opts.enable_stealing ? "s1" : "s0";
   skey += opts.enable_failure_detection

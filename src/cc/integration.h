@@ -51,7 +51,6 @@ struct LadderRunOptions {
   ExecKind kind = ExecKind::kReference;
   Contraction contraction = Contraction::kT2_7;
   tce::VariantConfig variant = tce::VariantConfig::v5();  // kPtg only
-  ptg::SchedPolicy policy = ptg::SchedPolicy::kPriority;  // kPtg only
   int workers_per_rank = 2;
   bool enable_tracing = false;
   /// kPtg only: route the run through the ladder's TemplateCache and a

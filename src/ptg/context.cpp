@@ -108,7 +108,7 @@ Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts)
       epoch_(std::chrono::steady_clock::now()) {
   MP_REQUIRE(opts_.num_workers >= 1, "Context: need at least one worker");
   pool_.validate();
-  sched_ = Scheduler::create(opts_.policy, opts_.num_workers);
+  sched_ = std::make_unique<Scheduler>(opts_.num_workers);
   worker_events_.resize(static_cast<size_t>(opts_.num_workers));
   load_hints_.assign(static_cast<size_t>(nranks()), -1);
   steal_rng_ = Rng(kStealSeed ^
@@ -182,7 +182,7 @@ void Context::enumerate_startup() {
                 "enumerate_rank returned instance not owned by this rank");
       expected_.fetch_add(1, std::memory_order_relaxed);
       if (c.num_task_inputs(p) == 0) {
-        make_ready(TaskKey{c.cls, p}, {}, /*worker_hint=*/-1);
+        make_ready(TaskKey{c.cls, p}, {});
       }
     }
   }
@@ -211,9 +211,8 @@ ReadyTask Context::build_task(const TaskKey& key,
   return t;
 }
 
-void Context::make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
-                         int worker_hint) {
-  sched_->push(build_task(key, std::move(inputs)), worker_hint);
+void Context::make_ready(const TaskKey& key, std::vector<DataBuf> inputs) {
+  sched_->push(build_task(key, std::move(inputs)), -1);
   wake_one();
 }
 
@@ -278,7 +277,7 @@ void Context::deposit(const TaskKey& key, int slot, DataBuf buf,
   if (batch) {
     batch->push_back(build_task(key, std::move(ready_inputs)));
   } else {
-    make_ready(key, std::move(ready_inputs), /*worker_hint=*/-1);
+    make_ready(key, std::move(ready_inputs));
   }
 }
 
@@ -302,7 +301,7 @@ void Context::execute_task(ReadyTask t, int wid) {
 
   // Route outputs to consumers. Locally-completed activations are gathered
   // into one batch and published with a single push_batch onto this
-  // worker's own deque (one size/notify round trip for all siblings).
+  // worker's own heap (one lock/notify round trip for all siblings).
   if (c.route_outputs) {
     std::vector<ReadyTask> batch;
     std::vector<OutRoute> routes;
@@ -339,7 +338,7 @@ void Context::execute_task(ReadyTask t, int wid) {
     if (!batch.empty()) {
       const size_t n = batch.size();
       sched_->push_batch(std::move(batch), wid);
-      // This worker keeps one task for itself (it pops its own bottom
+      // This worker keeps one task for itself (it pops its own heap
       // next); any extra siblings are worth waking peers for.
       if (n > 1) {
         wake_all();
@@ -587,18 +586,24 @@ void Context::serve_steal_request(const vc::Message& msg) {
     w.put<double>(t.priority);
     w.put<uint32_t>(static_cast<uint32_t>(t.inputs.size()));
     for (DataBuf& in : t.inputs) {
-      // The contents now belong to the thief: any further local access is
-      // an MPA007 finding until the thief's decode takes the handle over.
-      if (in) MP_ANNOTATE_BUF_MIGRATE(in.get());
+      // A handle the victim gives up (its only one, shipped as a segment,
+      // not retained below) now belongs to the thief: any further local
+      // access is an MPA007 finding until the thief's decode takes it over.
+      // An inline copy, or a buffer a task still queued here shares, stays
+      // the victim's.
+      if (in && !failure_active() && in.use_count() == 1 &&
+          in->size() > kEagerLimit) {
+        MP_ANNOTATE_BUF_MIGRATE(in.get());
+      }
       // Under failure detection the entry below keeps the handles, so the
-      // reply shares them; otherwise the thief gets the only handle.
+      // reply shares them; otherwise the thief gets the victim's handle.
       encode_buf(w, segments, failure_active() ? in : std::move(in),
                  /*tagged=*/true);
     }
     // Every migration stays keyed until its credit arrives. Failure
     // detection also retains the input handles (not the contents) so the
-    // task can be re-injected locally if the thief dies first; the buffers
-    // stay annotated as migrated and re-injection REHOMEs them.
+    // task can be re-injected locally if the thief dies first; re-injection
+    // REHOMEs them.
     OutstandingMig om;
     om.holder = msg.src;
     om.priority = t.priority;
@@ -919,11 +924,11 @@ void Context::handle_confirmed_death(int dead) {
   }
   for (const auto& [c, p] : mine) {
     if (c->num_task_inputs(p) == 0) {
-      make_ready(TaskKey{c->cls, p}, {}, /*worker_hint=*/-1);
+      make_ready(TaskKey{c->cls, p}, {});
     }
   }
   for (auto& [key, inputs] : drained) {
-    make_ready(key, std::move(inputs), /*worker_hint=*/-1);
+    make_ready(key, std::move(inputs));
   }
 
   // 2) Lineage replay: re-deliver every activation this rank ever sent
@@ -1541,7 +1546,7 @@ void Context::reset_local_state(uint64_t submission) {
   // queues are empty, after an aborted one the leftover ReadyTasks (and
   // their pooled DataBufs) are released here, and either way the contention
   // counters restart from zero (validated above).
-  sched_ = Scheduler::create(opts_.policy, opts_.num_workers);
+  sched_ = std::make_unique<Scheduler>(opts_.num_workers);
 
   // ---- re-arm counters and latches. Parked threads give these stores no
   // one to race; release keeps the counter-pair discipline's edges intact

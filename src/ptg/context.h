@@ -60,10 +60,10 @@
 namespace mp::ptg {
 
 struct Options {
-  int num_workers = 2;            ///< compute threads per rank
-  /// Ready-queue order. Priorities come from the graph: instances of a
-  /// class without a priority function schedule at 0 (the paper's v2).
-  SchedPolicy policy = SchedPolicy::kPriority;
+  /// Compute threads per rank, one ready heap each (ptg/scheduler.h).
+  /// Priorities come from the graph: instances of a class without a
+  /// priority function schedule at 0 (the paper's v2).
+  int num_workers = 2;
   bool enable_tracing = false;    ///< record TraceEvents for Figs. 10-13
   /// If no local progress happens for this long while tasks are still
   /// outstanding (e.g. an activation was lost in the fabric), run() raises
@@ -292,7 +292,6 @@ class Context {
   }
   uint64_t expected_tasks() const { return expected_.load(); }
   uint64_t remote_activations_sent() const { return remote_sent_.load(); }
-  uint64_t scheduler_steals() const { return sched_->steals(); }
   SchedStats scheduler_stats() const { return sched_->stats(); }
   StealStats steal_stats() const;
   /// Own tasks migrated out by stealing whose completion credit has not
@@ -444,12 +443,11 @@ class Context {
   /// Deliver one input to a task instance. When the arrival completes the
   /// instance and `batch` is non-null, the ReadyTask is appended there for
   /// the caller to publish in one push_batch (a worker routing outputs);
-  /// otherwise it is pushed immediately with hint -1 (comm thread).
+  /// otherwise it is pushed immediately, round-robin over the heaps.
   void deposit(const TaskKey& key, int slot, DataBuf buf,
                std::vector<ReadyTask>* batch = nullptr);
   ReadyTask build_task(const TaskKey& key, std::vector<DataBuf> inputs);
-  void make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
-                  int worker_hint);
+  void make_ready(const TaskKey& key, std::vector<DataBuf> inputs);
   void execute_task(ReadyTask t, int wid);
   double now() const {
     return std::chrono::duration<double>(

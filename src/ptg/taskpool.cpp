@@ -22,8 +22,7 @@ namespace {
 /// after its last read, and only an acquire synchronizes with those. Copying
 /// the handle provides it: libstdc++ increments the count with an acq_rel
 /// RMW on the same counter, an acquire that TSan also sees (GCC 12 rejects a
-/// standalone fence under -fsanitize=thread, cf. the Chase-Lev shim in
-/// scheduler.cpp).
+/// standalone fence under -fsanitize=thread).
 bool sole_owner(const DataBuf& buf) {
   if (buf.use_count() != 1) return false;
   const DataBuf acquire = buf;

@@ -16,7 +16,6 @@ const char* finding_code(FindingKind k) {
     case FindingKind::kUseAfterRelease: return "MPA002";
     case FindingKind::kLivePoolHandout: return "MPA003";
     case FindingKind::kDataRace: return "MPA004";
-    case FindingKind::kStealViolation: return "MPA005";
     case FindingKind::kTlsViolation: return "MPA006";
     case FindingKind::kMigratedAccess: return "MPA007";
     case FindingKind::kUseAfterRecovery: return "MPA008";
@@ -83,7 +82,6 @@ struct LifecycleChecker::Impl {
   std::unordered_map<const void*, ObjState> objects;
   std::unordered_map<const void*, Clock> channels;
   std::unordered_map<const void*, Clock> lock_clocks;
-  std::unordered_map<const void*, int> deque_owner;
   std::unordered_map<const void*, int> tls_owner;
   std::vector<Finding> findings;
   static constexpr size_t kMaxFindings = 1000;
@@ -399,30 +397,6 @@ void LifecycleChecker::lock_released(const void* mutex) {
   ts.vc[static_cast<size_t>(t)]++;
 }
 
-void LifecycleChecker::deque_create(const void* deque) {
-  std::lock_guard lock(impl_->mu);
-  impl_->deque_owner[deque] = -1;
-}
-
-void LifecycleChecker::deque_owner_op(const void* deque) {
-  std::lock_guard lock(impl_->mu);
-  const int t = impl_->tid();
-  auto& owner = impl_->deque_owner[deque];
-  if (owner < 0) {
-    owner = t;  // first owner-end operation claims the deque
-  } else if (owner != t) {
-    std::ostringstream os;
-    os << "steal-protocol violation: owner end of deque " << deque
-       << " (owned by thread " << owner << ") used by thread " << t;
-    impl_->add_finding(FindingKind::kStealViolation, os.str());
-  }
-}
-
-void LifecycleChecker::deque_steal_op(const void* deque) {
-  std::lock_guard lock(impl_->mu);
-  (void)impl_->deque_owner[deque];  // steal end is open to every thread
-}
-
 void LifecycleChecker::tls_release(const void* obj) {
   std::lock_guard lock(impl_->mu);
   impl_->tls_owner.erase(obj);
@@ -464,7 +438,6 @@ void LifecycleChecker::reset() {
   impl_->objects.clear();
   impl_->channels.clear();
   impl_->lock_clocks.clear();
-  impl_->deque_owner.clear();
   impl_->tls_owner.clear();
   impl_->findings.clear();
 }

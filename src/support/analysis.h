@@ -4,9 +4,9 @@
 // The PTG runtime hand-rolls exactly the concurrency that sanitizers are
 // weakest at: pooled DataBufs whose storage is recycled (so a use-after-
 // release lands in a *new live* buffer and TSan sees an ordinary access),
-// Chase-Lev deques whose bottom end is single-owner by protocol (not by
-// mutex), and thread-local workspace pools that must never leak across
-// threads. The LifecycleChecker tracks those protocols symbolically:
+// buffer handles that cross ranks inside messages, and thread-local
+// workspace pools that must never leak across threads. The
+// LifecycleChecker tracks those protocols symbolically:
 //
 //   - object lifecycle  — create/destroy per pooled DataBuf; double release
 //     and use-after-release are reported even after the allocator or the
@@ -14,13 +14,10 @@
 //     handed off to another rank is off limits until the receiver takes the
 //     handle over (MPA007).
 //   - vector-clock happens-before — every legitimate cross-thread handoff
-//     (mailbox push/pop, scheduler queue, pending-deposit shard, outbox) is an
-//     annotated channel; an access to a tracked object that is not ordered
-//     by the channel graph and shares no lock with the previous access is a
-//     data race (MPA004).
-//   - deque ownership — the bottom end of a work-stealing deque belongs to
-//     one thread; any other thread touching it violates the steal protocol
-//     (MPA005). Thieves use the annotated steal end, which any thread may.
+//     (mailbox push/pop, each worker's ready heap, pending-deposit shard,
+//     outbox) is an annotated channel; an access to a tracked object that is
+//     not ordered by the channel graph and shares no lock with the previous
+//     access is a data race (MPA004).
 //   - TLS ownership — thread-local pools accessed from a foreign thread
 //     (MPA006).
 //   - locksets — annotated lock acquire/release maintain a per-thread
@@ -48,7 +45,7 @@ enum class FindingKind {
   kUseAfterRelease,   ///< MPA002: access to an object after its release
   kLivePoolHandout,   ///< MPA003: create reported for a still-live object
   kDataRace,          ///< MPA004: unordered cross-thread access, no common lock
-  kStealViolation,    ///< MPA005: deque owner end used by a foreign thread
+  // MPA005 (work-stealing deque ownership) is retired with the deque.
   kTlsViolation,      ///< MPA006: thread-local object used by a foreign thread
   kMigratedAccess,    ///< MPA007: buffer used after hand-off to the fabric
   kUseAfterRecovery,  ///< MPA008: access unordered with a recovery re-home
@@ -103,11 +100,6 @@ class LifecycleChecker {
   void lock_acquired(const void* mutex);
   void lock_released(const void* mutex);
 
-  // -- single-owner deque protocol --
-  void deque_create(const void* deque);   ///< (re)register, clears ownership
-  void deque_owner_op(const void* deque); ///< bottom-end push/pop
-  void deque_steal_op(const void* deque); ///< top-end steal (any thread)
-
   // -- thread-local ownership --
   void tls_guard(const void* obj);
   /// Un-register a thread-local object (its destructor ran). Required so a
@@ -158,8 +150,5 @@ class LifecycleChecker {
 #define MP_ANNOTATE_CHANNEL_RECV(ch) MP_ANNOTATE(channel_recv((ch)))
 #define MP_ANNOTATE_LOCK_ACQUIRED(mu) MP_ANNOTATE(lock_acquired((mu)))
 #define MP_ANNOTATE_LOCK_RELEASED(mu) MP_ANNOTATE(lock_released((mu)))
-#define MP_ANNOTATE_DEQUE_CREATE(dq) MP_ANNOTATE(deque_create((dq)))
-#define MP_ANNOTATE_DEQUE_OWNER_OP(dq) MP_ANNOTATE(deque_owner_op((dq)))
-#define MP_ANNOTATE_DEQUE_STEAL_OP(dq) MP_ANNOTATE(deque_steal_op((dq)))
 #define MP_ANNOTATE_TLS_GUARD(obj) MP_ANNOTATE(tls_guard((obj)))
 #define MP_ANNOTATE_TLS_RELEASE(obj) MP_ANNOTATE(tls_release((obj)))

@@ -7,7 +7,6 @@ namespace mp::tce {
 ptg::Options runtime_options(const PtgExecOptions& opts) {
   ptg::Options ropts;
   ropts.num_workers = opts.workers_per_rank;
-  ropts.policy = opts.policy;
   ropts.enable_tracing = opts.enable_tracing;
   ropts.enable_stealing = opts.enable_stealing;
   ropts.enable_failure_detection = opts.enable_failure_detection;

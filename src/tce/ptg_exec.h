@@ -36,7 +36,6 @@ namespace mp::tce {
 struct PtgExecOptions {
   VariantConfig variant = VariantConfig::v5();
   int workers_per_rank = 2;
-  ptg::SchedPolicy policy = ptg::SchedPolicy::kPriority;
   bool enable_tracing = false;
   /// Inter-node work stealing (DESIGN.md §9): idle ranks pull ready,
   /// migratable tasks from loaded victims. Static placement stays the

@@ -1,5 +1,6 @@
 #include "vc/fabric.h"
 
+#include "support/analysis.h"
 #include "support/error.h"
 
 namespace mp::vc {
@@ -192,6 +193,7 @@ void Fabric::send(Message m) {
       Message copy = (i + 1 < copies) ? m : std::move(m);
       pending_.push(Pending{now + delay, next_seq_++, std::move(copy)});
     }
+    MP_ANNOTATE_CHANNEL_SEND(&pending_);
   }
   cv_.notify_one();
   maybe_trigger_crash();
@@ -313,6 +315,13 @@ bool Fabric::partitioned(int src, int dst) const {
   return partitioned_links_.count({src, dst}) != 0;
 }
 
+Message Fabric::take_pending_locked() {
+  Message m = std::move(const_cast<Pending&>(pending_.top()).msg);
+  pending_.pop();
+  MP_ANNOTATE_CHANNEL_RECV(&pending_);
+  return m;
+}
+
 void Fabric::delivery_loop() {
   std::unique_lock lock(mu_);
   while (!stopping_) {
@@ -328,8 +337,7 @@ void Fabric::delivery_loop() {
     }
     const auto now = std::chrono::steady_clock::now();
     while (!pending_.empty() && pending_.top().deliver_at <= now) {
-      Message m = std::move(const_cast<Pending&>(pending_.top()).msg);
-      pending_.pop();
+      Message m = take_pending_locked();
       lock.unlock();
       deliver(std::move(m));
       lock.lock();
@@ -345,10 +353,7 @@ void Fabric::quiesce() {
   std::vector<Message> flush;
   {
     std::lock_guard lock(mu_);
-    while (!pending_.empty()) {
-      flush.push_back(std::move(const_cast<Pending&>(pending_.top()).msg));
-      pending_.pop();
-    }
+    while (!pending_.empty()) flush.push_back(take_pending_locked());
   }
   for (Message& m : flush) deliver(std::move(m));
 }
@@ -365,11 +370,7 @@ void Fabric::shutdown() {
   // Flush anything still pending so no accepted message is lost; bounded
   // by queue length, never by simulated delivery deadlines.
   std::lock_guard lock(mu_);
-  while (!pending_.empty()) {
-    Message m = std::move(const_cast<Pending&>(pending_.top()).msg);
-    pending_.pop();
-    deliver(std::move(m));
-  }
+  while (!pending_.empty()) deliver(take_pending_locked());
 }
 
 FabricStats Fabric::stats() const {

@@ -286,6 +286,10 @@ class Fabric {
   };
 
   void delivery_loop();
+  /// Pops the earliest pending message; caller holds mu_. The pending
+  /// queue is an MP_ANALYSIS channel from the sender to the thread that
+  /// delivers, so a segment's object keeps its happens-before edge.
+  Message take_pending_locked();
   const FaultConfig& fault_for(int src, int dst) const;
   /// Push to the destination mailbox, counting a refused push as dropped.
   void deliver(Message m);

@@ -162,24 +162,6 @@ TEST_F(CheckerTest, CommonLockSuppressesRace) {
   EXPECT_EQ(count_kind(FindingKind::kDataRace), 0u) << C().report();
 }
 
-TEST_F(CheckerTest, ForeignOwnerOpIsMPA005) {
-  int dq = 0;
-  C().deque_create(&dq);
-  in_two_threads([&] { C().deque_owner_op(&dq); },   // first use claims
-                 [&] { C().deque_owner_op(&dq); });  // foreign bottom-end op
-  EXPECT_EQ(count_kind(FindingKind::kStealViolation), 1u);
-}
-
-TEST_F(CheckerTest, StealEndIsOpenToAllThreadsAndRecreateResets) {
-  int dq = 0;
-  C().deque_create(&dq);
-  in_two_threads([&] { C().deque_owner_op(&dq); },
-                 [&] { C().deque_steal_op(&dq); });  // thieves are fine
-  C().deque_create(&dq);                        // teardown / address reuse
-  in_thread([&] { C().deque_owner_op(&dq); });  // new owner claims
-  EXPECT_EQ(C().finding_count(), 0u) << C().report();
-}
-
 TEST_F(CheckerTest, ForeignTlsAccessIsMPA006) {
   int pool = 0;
   in_two_threads([&] { C().tls_guard(&pool); },
@@ -383,20 +365,13 @@ TEST_F(CheckerTest, HealthyPtgRunHasZeroFindings) {
   const auto plan = tce::inspect_t2_7(space, {&v, &t, &r});
   const tce::StoreList stores = {{&v, &v_ga}, {&t, &t_ga}, {&r, &r_ga}};
 
-  for (const auto policy :
-       {ptg::SchedPolicy::kPriority, ptg::SchedPolicy::kStealing}) {
-    C().reset();
-    tce::PtgExecOptions opts;
-    opts.variant = tce::VariantConfig::v3();
-    opts.workers_per_rank = 2;
-    opts.policy = policy;
-    cluster.run([&](vc::RankCtx& rctx) {
-      (void)tce::execute_ptg(rctx, plan, stores, opts);
-    });
-    EXPECT_EQ(C().finding_count(), 0u)
-        << "policy " << ptg::to_string(policy) << ":\n"
-        << C().report();
-  }
+  tce::PtgExecOptions opts;
+  opts.variant = tce::VariantConfig::v3();
+  opts.workers_per_rank = 2;
+  cluster.run([&](vc::RankCtx& rctx) {
+    (void)tce::execute_ptg(rctx, plan, stores, opts);
+  });
+  EXPECT_EQ(C().finding_count(), 0u) << C().report();
 }
 
 // ---- stats self-checks ----------------------------------------------------
@@ -435,16 +410,16 @@ TEST(StatsValidate, FabricStatsCatchesInconsistentSnapshot) {
 }
 
 TEST(StatsValidate, LiveSchedulerSnapshotsAreConsistent) {
-  auto sched = ptg::Scheduler::create(ptg::SchedPolicy::kStealing, 2);
+  ptg::Scheduler sched(2);
   for (int i = 0; i < 64; ++i) {
     ptg::ReadyTask t;
     t.seq = static_cast<uint64_t>(i);
-    sched->push(std::move(t), -1);
+    sched.push(std::move(t), -1);
   }
   ptg::ReadyTask out;
-  while (sched->try_pop(out, 0)) {
+  while (sched.try_pop(out, 0)) {
   }
-  EXPECT_EQ(sched->stats().validate(), "") << "live scheduler stats";
+  EXPECT_EQ(sched.stats().validate(), "") << "live scheduler stats";
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 // fan-out/reduction graphs (the paper's Fig. 1 / Fig. 2 shapes), remote
 // activations across ranks (large buffers arrive as the producer's own
 // object, small ones as copies; take_input copies on write), priorities,
-// scheduler policies, tracing, and API misuse detection.
+// the per-worker ready heaps, tracing, and API misuse detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -210,7 +212,6 @@ TEST(Context, ChainDataflowCrossRankEveryStep) {
 TEST(Context, ChainWithManyWorkersAndStealing) {
   Options opts;
   opts.num_workers = 4;
-  opts.policy = SchedPolicy::kStealing;
   const auto r = run_chain(2, 16, 30, false, opts);
   EXPECT_DOUBLE_EQ(r.finals[0], 29.0);
   EXPECT_DOUBLE_EQ(r.finals[1], 30.0);
@@ -267,7 +268,7 @@ TEST(Context, FanInReduction) {
 
 // Ten independent tasks; with `with_priorities` instance i has priority i,
 // otherwise the class has no priority function (every instance at 0).
-std::vector<int> run_priority_order(SchedPolicy policy, bool with_priorities) {
+std::vector<int> run_priority_order(bool with_priorities) {
   std::vector<int> order;
   vc::Cluster cluster(1);
   cluster.run([&](vc::RankCtx& rctx) {
@@ -284,7 +285,6 @@ std::vector<int> run_priority_order(SchedPolicy policy, bool with_priorities) {
     pool.add_class(std::move(c));
     Options opts;
     opts.num_workers = 1;  // deterministic execution order
-    opts.policy = policy;
     Context ctx(rctx, pool, opts);
     ctx.run();
   });
@@ -292,45 +292,87 @@ std::vector<int> run_priority_order(SchedPolicy policy, bool with_priorities) {
 }
 
 TEST(Context, PrioritySchedulerRunsHighFirst) {
-  const auto order = run_priority_order(SchedPolicy::kPriority, true);
+  const auto order = run_priority_order(true);
   std::vector<int> expect{9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
   EXPECT_EQ(order, expect);
 }
 
 TEST(Context, DisabledPrioritiesFallBackToFifo) {
-  const auto order = run_priority_order(SchedPolicy::kPriority, false);
+  const auto order = run_priority_order(false);
   std::vector<int> expect{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(order, expect);
 }
 
-TEST(Context, FifoPolicyIgnoresPriorities) {
-  const auto order = run_priority_order(SchedPolicy::kFifo, true);
-  std::vector<int> expect{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(order, expect);
-}
-
-TEST(Context, LifoPolicyRunsNewestFirst) {
-  const auto order = run_priority_order(SchedPolicy::kLifo, true);
-  std::vector<int> expect{9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
-  EXPECT_EQ(order, expect);
+ReadyTask ready(double priority, uint64_t seq) {
+  ReadyTask t;
+  t.priority = priority;
+  t.seq = seq;
+  t.key = TaskKey{0, params_of(static_cast<int>(seq))};
+  return t;
 }
 
 TEST(Scheduler, StealingMovesWorkBetweenWorkers) {
-  auto s = Scheduler::create(SchedPolicy::kStealing, 2);
-  ReadyTask t;
-  t.key = TaskKey{0, params_of(1)};
-  s->push(std::move(t), 0);  // homed on worker 0
+  Scheduler s(2);
+  s.push(ready(0.0, 0), 0);  // homed on worker 0
   ReadyTask out;
-  EXPECT_TRUE(s->try_pop(out, 1));  // worker 1 steals it
-  EXPECT_EQ(s->steals(), 1u);
-  EXPECT_FALSE(s->try_pop(out, 1));
+  EXPECT_TRUE(s.try_pop(out, 1));  // worker 1 steals it
+  EXPECT_EQ(s.stats().steals, 1u);
+  EXPECT_FALSE(s.try_pop(out, 1));
 }
 
-TEST(Scheduler, PolicyNames) {
-  EXPECT_STREQ(to_string(SchedPolicy::kPriority), "priority");
-  EXPECT_STREQ(to_string(SchedPolicy::kFifo), "fifo");
-  EXPECT_STREQ(to_string(SchedPolicy::kLifo), "lifo");
-  EXPECT_STREQ(to_string(SchedPolicy::kStealing), "stealing");
+TEST(Scheduler, OneWorkerPopsInPriorityThenSeqOrder) {
+  // Worker and non-worker pushes land on the one heap, which must pop in
+  // strict (priority desc, seq asc) order: a one-worker rank keeps the
+  // central queue's order.
+  Scheduler s(1);
+  const double prio[] = {1, 3, 2, 3, 1, 2, 3, 0, 2, 1, 3, 0};
+  for (uint64_t i = 0; i < std::size(prio); ++i) {
+    s.push(ready(prio[i], i), i % 2 == 0 ? 0 : -1);
+  }
+  std::vector<std::pair<double, uint64_t>> popped;
+  ReadyTask out;
+  while (s.try_pop(out, 0)) popped.emplace_back(out.priority, out.seq);
+  ASSERT_EQ(popped.size(), std::size(prio));
+  for (size_t i = 1; i < popped.size(); ++i) {
+    const auto& [pa, sa] = popped[i - 1];
+    const auto& [pb, sb] = popped[i];
+    EXPECT_TRUE(pa > pb || (pa == pb && sa < sb))
+        << "pop " << i << ": (" << pb << ", " << sb << ") after (" << pa
+        << ", " << sa << ")";
+  }
+  EXPECT_EQ(s.stats().steals, 0u);
+}
+
+TEST(Scheduler, IdleWorkerStealsThePeersBestTask) {
+  Scheduler s(2);
+  s.push(ready(1.0, 0), 0);
+  s.push(ready(5.0, 1), 0);
+  s.push(ready(3.0, 2), 0);
+  ReadyTask out;
+  ASSERT_TRUE(s.try_pop(out, 1));  // worker 1's heap is empty
+  EXPECT_EQ(out.priority, 5.0);
+  EXPECT_EQ(out.seq, 1u);
+  const SchedStats st = s.stats();
+  EXPECT_EQ(st.steals, 1u);
+  EXPECT_EQ(st.steal_attempts, 1u);
+  EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(Scheduler, HarvestReachesEveryHeapAndCountsNoSteal) {
+  // Worker pushes pin one task to each heap, heap 0 included; a harvest
+  // from a thread that is no worker must find all of them.
+  Scheduler s(3);
+  for (int w = 0; w < 3; ++w) s.push(ready(0.0, static_cast<uint64_t>(w)), w);
+  std::vector<ReadyTask> got;
+  std::thread comm([&] { s.harvest(got, 10); });
+  comm.join();
+  std::vector<uint64_t> seqs;
+  for (const ReadyTask& t : got) seqs.push_back(t.seq);
+  std::sort(seqs.begin(), seqs.end());
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{0, 1, 2}));
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.stats().steals, 0u);
+  EXPECT_EQ(s.stats().steal_attempts, 0u);
 }
 
 // --- tracing ---

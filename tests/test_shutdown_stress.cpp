@@ -1,6 +1,6 @@
 // Termination & shutdown stress suite (ctest label: stress).
 //
-// Exercises the comm thread, the stealing scheduler and the deposit/
+// Exercises the comm thread, the per-worker ready heaps and the deposit/
 // activation path concurrently while the fabric injects faults — dropped,
 // duplicated and reordered messages — and verifies that the runtime never
 // hangs: it either completes with the correct result or unwinds with a
@@ -163,7 +163,6 @@ TEST(ShutdownStress, DropFaultsEndInCleanStateErrorNotHang) {
     cluster.run([&](vc::RankCtx& rctx) {
       Options opts;
       opts.num_workers = 3;
-      opts.policy = SchedPolicy::kStealing;
       opts.watchdog_timeout_ms = 250.0;
       run_dag(dag, rctx, opts, &got, &mu);
     });
@@ -207,7 +206,6 @@ TEST_P(MixedFaultStress, CompletesOrUnwindsCleanly) {
     cluster.run([&](vc::RankCtx& rctx) {
       Options opts;
       opts.num_workers = 3;
-      opts.policy = SchedPolicy::kStealing;
       opts.watchdog_timeout_ms = 300.0;
       run_dag(dag, rctx, opts, &got, &mu);
     });
@@ -248,7 +246,6 @@ TEST(ShutdownStress, ReorderJitterOnlyComputesCorrectResult) {
   cluster.run([&](vc::RankCtx& rctx) {
     Options opts;
     opts.num_workers = 4;
-    opts.policy = SchedPolicy::kStealing;
     run_dag(dag, rctx, opts, &got, &mu);
   });
   EXPECT_EQ(cluster.fabric().stats().validate(), "");

@@ -9,7 +9,8 @@
 // hangs, never double-executes a duplicated steal message, and always
 // leaves the fabric, scheduler and steal counters internally consistent;
 // a completed job leaves no migration uncredited. Designed to run under
-// -DMP_SANITIZE=thread and =address.
+// -DMP_SANITIZE=thread and =address; in an MP_ANALYSIS build every run
+// must also end with no lifecycle-checker finding.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "ptg/context.h"
 #include "support/rng.h"
 #include "vc/cluster.h"
+#include "zero_findings.h"
 
 namespace mp::ptg {
 namespace {
@@ -182,7 +184,10 @@ void run_dag_stealing(const StealDag& dag, vc::RankCtx& rctx, Options opts,
 
 // --- mixed drop/dup/reorder faults, seed sweep: complete or unwind ---
 
-class StealFaultStress : public ::testing::TestWithParam<uint64_t> {};
+// Completed or unwound, no run may raise a lifecycle-checker finding.
+class StealStress : public ZeroFindingsTest {};
+class StealFaultStress : public ZeroFindingsTest,
+                         public ::testing::WithParamInterface<uint64_t> {};
 
 TEST_P(StealFaultStress, CompletesOrUnwindsCleanly) {
   const uint64_t seed = GetParam();
@@ -233,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StealFaultStress,
 
 // --- duplication + reordering alone must not cost correctness ---
 
-TEST(StealStress, DupAndReorderOnlyCompletesCorrectly) {
+TEST_F(StealStress, DupAndReorderOnlyCompletesCorrectly) {
   // No drops: the wire-sequence dedup makes every duplicated message —
   // activations, steal requests, steal replies with whole task batches,
   // credits — land exactly once, so the run must complete and match the
@@ -270,7 +275,7 @@ TEST(StealStress, DupAndReorderOnlyCompletesCorrectly) {
 
 // --- heavy drops with stealing active: watchdog, never a hang ---
 
-TEST(StealStress, HeavyDropsEndInCleanStateErrorNotHang) {
+TEST_F(StealStress, HeavyDropsEndInCleanStateErrorNotHang) {
   // 80% drop swallows steal replies (losing migrated tasks in flight)
   // and completion credits (stranding the termination scheme); every
   // stalled rank's scaled watchdog must still end the run in seconds.
@@ -305,7 +310,7 @@ TEST(StealStress, HeavyDropsEndInCleanStateErrorNotHang) {
 
 // --- concurrent shutdown: a task failure while migrations are in flight ---
 
-TEST(StealStress, TaskFailureDuringActiveStealingUnwindsEveryRank) {
+TEST_F(StealStress, TaskFailureDuringActiveStealingUnwindsEveryRank) {
   // One body throws mid-job while the steal agent is moving its
   // neighbours between ranks; the abort must reach every rank whether
   // the failing task ran at home or on a thief.
@@ -355,7 +360,7 @@ TEST(StealStress, TaskFailureDuringActiveStealingUnwindsEveryRank) {
 
 // --- repeated full lifecycles with stealing shake shutdown races ---
 
-TEST(StealStress, RepeatedStealingLifecyclesQuiesceCleanly) {
+TEST_F(StealStress, RepeatedStealingLifecyclesQuiesceCleanly) {
   for (int iter = 0; iter < 8; ++iter) {
     vc::FabricConfig cfg;
     cfg.latency_us = 50.0;

@@ -54,6 +54,12 @@ Checks, each with a stable rule id:
                          (per-function target attributes + a cached
                          __builtin_cpu_supports check, as in
                          src/linalg/gemm.cpp).
+  sanitizer-fork         No preprocessor test of `__SANITIZE_THREAD__`,
+                         `__SANITIZE_ADDRESS__` or `__has_feature(...
+                         sanitizer)` under src/ or bench/: the code a
+                         sanitizer build tests must be the code that
+                         ships, so no path may exist only with (or only
+                         without) a sanitizer.
   bulk-copy-outside-codec No WireWriter::put_doubles / WireReader::
                          get_doubles call under src/ outside the data-plane
                          codec (encode_buf / decode_buf in
@@ -81,11 +87,15 @@ LOCK_RE = re.compile(
     r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b|\.lock\(\)")
 BODY_RE = re.compile(r"\bbody\s*=\s*\[")
 WAIVER = "mp-lint: allow(lock-in-task-body)"
-# A conditional directive (with its backslash continuations) and the
-# vector-ISA macros the compile-time-isa rule forbids it to test.
+# A conditional directive (with its backslash continuations), the
+# vector-ISA macros the compile-time-isa rule forbids it to test, and the
+# sanitizer probes the sanitizer-fork rule forbids it to test.
 PP_COND_RE = re.compile(
     r"^[ \t]*#[ \t]*(?:if|ifdef|ifndef|elif)\b(?:[^\n]*\\\n)*[^\n]*", re.M)
 ISA_MACRO_RE = re.compile(r"\b__(?:AVX\w*|FMA|SSE\w*)__\b")
+SANITIZER_RE = re.compile(
+    r"\b__SANITIZE_(?:THREAD|ADDRESS)__\b"
+    r"|\b__has_feature\s*\(\s*\w*sanitizer\s*\)")
 # A call of the wire serializer's bulk double copy, e.g. `w.put_doubles(`
 # or `r->get_doubles(`; the definitions in src/vc/message.h do not match.
 BULK_COPY_RE = re.compile(r"(?:\.|->)\s*((?:put|get)_doubles)\s*\(")
@@ -190,6 +200,12 @@ def lint_file(path, findings):
                      f"`{isa.group(0)}` test selects code at compile time; "
                      "only a -march build reaches it (dispatch at run time "
                      "instead, see src/linalg/gemm.cpp)"))
+            san = SANITIZER_RE.search(m.group(0))
+            if san:
+                findings.append(
+                    (rel, line_of(text, m.start()), "sanitizer-fork",
+                     f"`{san.group(0)}` test forks the code by sanitizer; "
+                     "a sanitizer build must run the code that ships"))
 
     if in_src:
         for m in BODY_RE.finditer(code):
