@@ -23,8 +23,9 @@ constexpr int kLen = 5;
 constexpr int kElems = 8;
 
 // Stand-in for the GEMM kernel body: C += (L1+1) * (L2+1) on every element.
-void fake_gemm(std::vector<double>& c, int l1, int l2) {
-  for (double& x : c) x += (l1 + 1) * (l2 + 1);
+void fake_gemm(Buffer& c, int l1, int l2) {
+  double* x = c.mutable_data();
+  for (size_t i = 0; i < c.size(); ++i) x[i] += (l1 + 1) * (l2 + 1);
 }
 
 double expected_value(int l1) {

@@ -195,9 +195,10 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
     const size_t bs = static_cast<size_t>(b);
     auto load_tile = [A, n, bs](int ti, int tj) {
       auto buf = ptg::make_buf(bs * bs);
+      double* tile = buf->mutable_data();
       for (size_t c = 0; c < bs; ++c) {
         for (size_t r = 0; r < bs; ++r) {
-          (*buf)[c * bs + r] =
+          tile[c * bs + r] =
               (*A)[(tj * bs + c) * n + (ti * bs + r)];
         }
       }
@@ -222,7 +223,7 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
                                            TaskCtx& t) {
       const int k = t.params()[0];
       DataBuf tile = (k == 0) ? load_tile(0, 0) : t.take_input(0);
-      linalg::potrf_lower(bs, tile->data(), bs);
+      linalg::potrf_lower(bs, tile->mutable_data(), bs);
       store_tile(k, k, tile);
       t.set_output(0, std::move(tile));
     };
@@ -231,7 +232,7 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
       const int i = t.params()[0], k = t.params()[1];
       const DataBuf& lkk = t.input(0);
       DataBuf tile = (k == 0) ? load_tile(i, 0) : t.take_input(1);
-      linalg::trsm_rlt(bs, bs, lkk->data(), bs, tile->data(), bs);
+      linalg::trsm_rlt(bs, bs, lkk->data(), bs, tile->mutable_data(), bs);
       store_tile(i, k, tile);
       t.set_output(0, std::move(tile));
     };
@@ -239,7 +240,7 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
       const int i = t.params()[0], k = t.params()[1];
       const DataBuf& panel = t.input(0);
       DataBuf diag = (k == 0) ? load_tile(i, i) : t.take_input(1);
-      linalg::syrk_ln(bs, bs, panel->data(), bs, diag->data(), bs);
+      linalg::syrk_ln(bs, bs, panel->data(), bs, diag->mutable_data(), bs);
       t.set_output(0, std::move(diag));
     };
     pool.mutable_cls(ids.gemm).body = [load_tile, bs](TaskCtx& t) {
@@ -248,7 +249,7 @@ TiledCholeskyResult tiled_cholesky(vc::Cluster& cluster,
       const DataBuf& tjk = t.input(1);
       DataBuf tile = (k == 0) ? load_tile(i, j) : t.take_input(2);
       linalg::dgemm('N', 'T', bs, bs, bs, -1.0, tik->data(), bs, tjk->data(),
-                    bs, 1.0, tile->data(), bs);
+                    bs, 1.0, tile->mutable_data(), bs);
       t.set_output(0, std::move(tile));
     };
 

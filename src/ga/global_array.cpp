@@ -34,6 +34,11 @@ void GlobalArray::get(int64_t lo, int64_t count, double* out) const {
                          std::memory_order_relaxed);
 }
 
+DataBuf GlobalArray::view(int64_t lo, int64_t count) const {
+  check_range(lo, count);
+  return make_view(data_.data() + lo, static_cast<size_t>(count));
+}
+
 void GlobalArray::put(int64_t lo, int64_t count, const double* in) {
   check_range(lo, count);
   std::memcpy(data_.data() + lo, in,

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "support/data_buf.h"
 #include "vc/cluster.h"
 
 namespace mp::ga {
@@ -35,6 +36,14 @@ class GlobalArray {
 
   /// ga_get: copy [lo, lo+count) into out.
   void get(int64_t lo, int64_t count, double* out) const;
+
+  /// ga_access for a range: a borrowed, read-only DataBuf over
+  /// [lo, lo+count) of this array's storage, without a copy. Counts no get
+  /// and no bytes moved. The view keeps nothing alive: read it only while
+  /// the array lives and nobody writes the range (a PTG submission's READ
+  /// tasks hand out views of operand blocks, which no task of that
+  /// submission writes).
+  DataBuf view(int64_t lo, int64_t count) const;
 
   /// ga_put: overwrite [lo, lo+count) with in.
   void put(int64_t lo, int64_t count, const double* in);

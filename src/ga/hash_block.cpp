@@ -37,6 +37,12 @@ void get_hash_block(const GlobalArray& ga, const HashBlockIndex& index,
   ga.get(e.offset, e.size, buf);
 }
 
+DataBuf view_hash_block(const GlobalArray& ga, const HashBlockIndex& index,
+                        uint64_t key) {
+  const BlockEntry e = lookup_or_throw(index, key);
+  return ga.view(e.offset, e.size);
+}
+
 void add_hash_block(GlobalArray& ga, const HashBlockIndex& index,
                     uint64_t key, const double* buf, double alpha) {
   const BlockEntry e = lookup_or_throw(index, key);

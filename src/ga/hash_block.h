@@ -54,6 +54,12 @@ class HashBlockIndex {
 void get_hash_block(const GlobalArray& ga, const HashBlockIndex& index,
                     uint64_t key, double* buf);
 
+/// GET_HASH_BLOCK without the copy: a read-only view of the block in
+/// place (GlobalArray::view), as the paper's READ tasks hand ga_access
+/// pointers to PaRSEC. Throws DataError if the key is unknown.
+DataBuf view_hash_block(const GlobalArray& ga, const HashBlockIndex& index,
+                        uint64_t key);
+
 /// ADD_HASH_BLOCK: atomically accumulate a local buffer into the block.
 void add_hash_block(GlobalArray& ga, const HashBlockIndex& index,
                     uint64_t key, const double* buf, double alpha = 1.0);

@@ -48,7 +48,10 @@ struct ClearOnExit {
 // header as an 8-byte count plus the doubles, and a larger one rides as the
 // message's next segment, i.e. the handle itself. The serialized size is
 // the same either way (a segment is charged its count plus its doubles), so
-// the fabric's byte counts do not depend on the encoding.
+// the fabric's byte counts do not depend on the encoding. A view of a
+// Global Array block encodes like any other buffer: above the limit the
+// view handle itself is the segment, at or below it the doubles are copied
+// inline and the receiver gets an owned copy.
 //
 // A *tagged* buffer is preceded by a BufTag byte (steal replies, whose task
 // inputs may be null). An untagged one is the message's only buffer
@@ -92,10 +95,9 @@ DataBuf decode_buf(vc::WireReader& r, std::vector<DataBuf>& segments,
   }
   MP_REQUIRE(tag == kInlineBuf, "decode_buf: bad buffer tag");
   // Pooled (annotated) buffer so the lifecycle checker tracks the received
-  // copy exactly like a locally-produced one; the move assignment also
-  // recycles the vector's allocation.
+  // copy exactly like a locally-produced one.
   auto data = make_buf_pooled(0);
-  *data = r.get_doubles();
+  data->assign(r.get_doubles());
   return data;
 }
 

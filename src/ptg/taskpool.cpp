@@ -38,9 +38,10 @@ DataBuf TaskCtx::take_input(int slot) {
   MP_REQUIRE(buf != nullptr,
              "TaskCtx::take_input: slot was never deposited or was already "
              "taken");
-  if (sole_owner(buf)) return buf;
-  // Copy on write: another holder (a fan-out sibling, a message still in
-  // flight, retained recovery state) may still read this very object.
+  if (!buf->borrowed() && sole_owner(buf)) return buf;
+  // Copy on write: a view is read-only whoever holds it, and another holder
+  // of an owned buffer (a fan-out sibling, a message still in flight,
+  // retained recovery state) may still read this very object.
   auto copy = make_buf_pooled(0);
   copy->assign(buf->begin(), buf->end());
   return copy;

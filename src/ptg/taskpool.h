@@ -35,10 +35,11 @@ class TaskCtx {
 
   /// Take an input buffer over to mutate it (the RW chain flow of matrix
   /// C). Copy on write: the task gets the deposited buffer itself when it
-  /// holds the only handle, else a private copy — a received buffer may be
-  /// the very object a fan-out sibling, the lineage log or a retained
-  /// steal record still reads. Raises, like input(), for a slot that was
-  /// never deposited or was already taken.
+  /// holds the only handle to an owned buffer, else a private copy — a
+  /// view is read-only whoever holds it, and a received buffer may be the
+  /// very object a fan-out sibling, the lineage log or a retained steal
+  /// record still reads. Raises, like input(), for a slot that was never
+  /// deposited or was already taken.
   DataBuf take_input(int slot);
 
   /// Publish an output buffer; the runtime routes it per route_outputs().

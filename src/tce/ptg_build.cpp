@@ -1,7 +1,9 @@
 #include "tce/ptg_build.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "ga/hash_block.h"
 #include "linalg/gemm.h"
@@ -34,6 +36,27 @@ struct ReduceTree {
 
 }  // namespace
 
+void require_result_not_operand(const ChainPlan& plan,
+                                const StoreList& stores) {
+  std::vector<const ga::GlobalArray*> results;
+  for (const Chain& ch : plan.chains) {
+    const ga::GlobalArray* r = stores[static_cast<size_t>(ch.r_store)].ga;
+    if (std::find(results.begin(), results.end(), r) == results.end()) {
+      results.push_back(r);
+    }
+  }
+  for (const Chain& ch : plan.chains) {
+    for (const int8_t s : {ch.a_store, ch.b_store}) {
+      const ga::GlobalArray* operand = stores[static_cast<size_t>(s)].ga;
+      MP_REQUIRE(std::find(results.begin(), results.end(), operand) ==
+                     results.end(),
+                 "operand store " + std::to_string(s) +
+                     " is also a result Global Array: READ tasks would "
+                     "hand out blocks WRITE_C accumulates into");
+    }
+  }
+}
+
 PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
                    const VariantConfig& var, int nranks) {
   var.validate();
@@ -43,6 +66,7 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
   for (const TensorStore& ts : stores) {
     MP_REQUIRE(ts.shape && ts.ga, "build_ptg: null storage");
   }
+  require_result_not_operand(plan, stores);
 
   const int nchains = static_cast<int>(plan.chains.size());
   const PriorityScheme prio{nchains, nranks};
@@ -91,17 +115,21 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
       }
       return out;
     };
+    // The block goes out in place, as a read-only view of the GA (the
+    // paper's ga_access): no task of the submission writes an operand
+    // array (require_result_not_operand), and views are read only while
+    // the submission runs.
     c.body = [pl, st, is_a](TaskCtx& t) {
       const Chain& ch = pl->chains[static_cast<size_t>(t.params()[0])];
       const GemmOp& g = ch.gemms[static_cast<size_t>(t.params()[1])];
       const TensorStore& ts =
           (*st)[static_cast<size_t>(is_a ? ch.a_store : ch.b_store)];
-      const size_t elems = is_a ? static_cast<size_t>(g.m) * g.k
-                                : static_cast<size_t>(g.n) * g.k;
-      auto buf = ptg::make_buf_pooled(elems);
-      ga::get_hash_block(*ts.ga, ts.shape->index(),
-                         is_a ? g.a_key : g.b_key, buf->data());
-      t.set_output(0, std::move(buf));
+      DataBuf block = ga::view_hash_block(*ts.ga, ts.shape->index(),
+                                          is_a ? g.a_key : g.b_key);
+      MP_DCHECK(block->size() == static_cast<size_t>(is_a ? g.m : g.n) *
+                                     static_cast<size_t>(g.k),
+                "READ: block size does not match the GEMM operand");
+      t.set_output(0, std::move(block));
     };
     return c;
   };
@@ -162,7 +190,7 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
                     static_cast<size_t>(g.n), static_cast<size_t>(g.k),
                     g.alpha, a->data(), static_cast<size_t>(g.lda()),
                     b->data(), static_cast<size_t>(g.ldb()), 1.0,
-                    cbuf->data(), static_cast<size_t>(g.m));
+                    cbuf->mutable_data(), static_cast<size_t>(g.m));
       t.set_output(0, std::move(cbuf));
     };
     b.ids.gemm = pool.add_class(std::move(c));
@@ -191,7 +219,7 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
     c.body = [](TaskCtx& t) {
       DataBuf acc = t.take_input(0);
       const DataBuf& other = t.input(1);
-      linalg::daxpy(acc->size(), 1.0, other->data(), acc->data());
+      linalg::daxpy(acc->size(), 1.0, other->data(), acc->mutable_data());
       t.set_output(0, std::move(acc));
     };
     b.ids.reduce = pool.add_class(std::move(c));
@@ -225,16 +253,16 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
       const Chain& ch = pl->chains[static_cast<size_t>(t.params()[0])];
       const DataBuf& cin = t.input(0);
       auto out = ptg::make_buf_pooled(cin->size());
+      double* dst = out->mutable_data();
       if (psorts) {
         const SortOp& so = ch.sorts[static_cast<size_t>(t.params()[1])];
-        linalg::sort_4(cin->data(), out->data(), ch.c_dims, so.perm,
-                       so.factor);
+        linalg::sort_4(cin->data(), dst, ch.c_dims, so.perm, so.factor);
       } else {
         // One task, all guarded sorts accumulated into a master Csorted
         // (Fig. 5): valid because every fired guard targets the same
         // canonical block.
         for (const SortOp& so : ch.sorts) {
-          linalg::sort_4_acc(cin->data(), out->data(), ch.c_dims, so.perm,
+          linalg::sort_4_acc(cin->data(), dst, ch.c_dims, so.perm,
                              so.factor);
         }
       }

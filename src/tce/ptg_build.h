@@ -32,6 +32,14 @@ struct PtgBuild {
   PtgClassIds ids;
 };
 
+/// Raises InvalidArgument when a chain's result store and any chain's
+/// operand store are the same Global Array. READ tasks hand out views of
+/// operand blocks in place, so a GEMM would read the partial sums WRITE_C
+/// accumulates into that array (and even a copying read could tear against
+/// the accumulate). build_ptg and PtgTemplate::rebind check every binding.
+void require_result_not_operand(const ChainPlan& plan,
+                                const StoreList& stores);
+
 /// Construct the PTG for `plan` under `variant` on `nranks` ranks. Classes
 /// carry the paper's priority functions (PriorityScheme) unless the
 /// variant disables priorities, in which case they carry none. The

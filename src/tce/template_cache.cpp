@@ -79,7 +79,7 @@ bool PtgTemplate::rebind(const StoreList& stores) {
   bool changed = false;
   for (size_t i = 0; i < bound.size(); ++i) {
     const TensorStore& next = stores[i];
-    TensorStore& cur = bound[i];
+    const TensorStore& cur = bound[i];
     MP_REQUIRE(next.shape && next.ga, "PtgTemplate::rebind: null storage");
     if (next.shape == cur.shape && next.ga == cur.ga) continue;
     // Stale-rebind guard: the graph's placement (rank_of/enumerate_rank)
@@ -97,11 +97,15 @@ bool PtgTemplate::rebind(const StoreList& stores) {
     MP_DCHECK(next.shape->index().num_blocks() == cur.shape->index().num_blocks(),
               "PtgTemplate::rebind: block index changed for store " +
                   std::to_string(i) + " — stale re-bind");
-    cur = next;
     changed = true;
   }
-  if (changed) rebinds_.fetch_add(1, std::memory_order_relaxed);
-  return changed;
+  if (!changed) return false;
+  // Checked before anything is bound, so a refused binding leaves the
+  // template bound as it was.
+  require_result_not_operand(*plan_, stores);
+  bound = stores;
+  rebinds_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(

@@ -82,7 +82,9 @@ class PtgTemplate {
   /// a running Context (the session rebinds before arming any rank).
   /// Already-bound entries are compared first and skipped when unchanged,
   /// so the steady-state CCSD iteration (same GAs, new contents) writes
-  /// nothing at all. Returns true when any pointer actually changed.
+  /// nothing at all. Returns true when any pointer actually changed. A
+  /// new binding whose result array is also an operand array raises
+  /// InvalidArgument (require_result_not_operand) and binds nothing.
   bool rebind(const StoreList& stores);
 
   bool verified() const { return verified_.load(std::memory_order_acquire); }

@@ -142,11 +142,12 @@ void run_spread(vc::RankCtx& rctx, int width, int spin_us, Options opts,
     const int i = t.params()[0];
     if (bufs.take_in_place) {
       DataBuf in = t.take_input(0);
-      for (double& x : *in) x = x * 3.0 + i;
+      double* d = in->mutable_data();
+      for (size_t j = 0; j < in->size(); ++j) d[j] = d[j] * 3.0 + i;
       spin_for_us(spin_us);
       {
         std::lock_guard lock(*mu);
-        (*got)[static_cast<size_t>(i)] = in->back();
+        (*got)[static_cast<size_t>(i)] = (*in)[in->size() - 1];
       }
       t.set_output(0, std::move(in));
       if (my_rank == bufs.victim &&

@@ -65,6 +65,7 @@ TEST(GlobalArray, RangeValidation) {
   EXPECT_THROW(ga.get(8, 1, &x), InvalidArgument);
   EXPECT_THROW(ga.get(7, 2, &x), InvalidArgument);
   EXPECT_NO_THROW(ga.get(7, 1, &x));
+  EXPECT_THROW(ga.view(7, 2), InvalidArgument);
 }
 
 TEST(GlobalArray, DistributionCoversArrayExactly) {
@@ -232,6 +233,35 @@ TEST(HashBlock, PutOverwrites) {
   put_hash_block(ga, idx, 7, b.data());
   get_hash_block(ga, idx, 7, out.data());
   for (double v : out) EXPECT_DOUBLE_EQ(v, 9.0);
+}
+
+TEST(HashBlock, ViewIsTheBlockInPlaceAndMovesNothing) {
+  vc::Cluster c(2);
+  HashBlockIndex idx;
+  idx.add(3, 4);
+  idx.add(7, 5);
+  GlobalArray ga(&c, idx.total_size());
+  std::vector<double> in(5);
+  std::iota(in.begin(), in.end(), 1.0);
+  put_hash_block(ga, idx, 7, in.data());
+  std::vector<double> copy(5);
+  get_hash_block(ga, idx, 7, copy.data());
+  const uint64_t gets = ga.ops_get();
+  const uint64_t bytes = ga.bytes_moved();
+
+  const DataBuf view = view_hash_block(ga, idx, 7);
+  EXPECT_TRUE(view->borrowed());
+  EXPECT_EQ(std::vector<double>(view->begin(), view->end()), copy);
+  EXPECT_EQ(ga.ops_get(), gets);
+  EXPECT_EQ(ga.bytes_moved(), bytes);
+  // In place: a later put shows through the view already handed out.
+  std::vector<double> next(5, -2.0);
+  put_hash_block(ga, idx, 7, next.data());
+  EXPECT_EQ(std::vector<double>(view->begin(), view->end()), next);
+  // Read-only: nothing writes through it.
+  EXPECT_THROW(view->mutable_data(), StateError);
+  EXPECT_THROW(view->assign(in.data(), in.data() + in.size()), StateError);
+  EXPECT_THROW(view_hash_block(ga, idx, 999), DataError);
 }
 
 TEST(HashBlock, UnknownKeyThrowsDataError) {

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "ga/global_array.h"
 #include "ptg/context.h"
 #include "ptg/scheduler.h"
 #include "ptg/taskpool.h"
@@ -24,6 +25,10 @@
 
 namespace mp::ptg {
 namespace {
+
+std::vector<double> contents(const DataBuf& b) {
+  return {b->begin(), b->end()};
+}
 
 // Helper: enumerate instances p0 in [0, n) owned by round-robin rank.
 std::function<std::vector<Params>(int)> round_robin(int n, int nranks) {
@@ -151,7 +156,7 @@ ChainFixtureResult run_chain(int nranks, int chains, int len,
         buf = make_buf(1, static_cast<double>(t.params()[0]));
       } else {
         buf = t.take_input(0);
-        (*buf)[0] += 1.0;
+        buf->mutable_data()[0] += 1.0;
       }
       t.set_output(0, std::move(buf));
     };
@@ -456,7 +461,7 @@ TEST(Context, RunTwiceReexecutesTheGraph) {
       step_runs[static_cast<size_t>(l1 * kLen + l2)].fetch_add(1);
       DataBuf buf = l2 == 0 ? make_buf(1, static_cast<double>(l1))
                             : t.take_input(0);
-      if (l2 > 0) (*buf)[0] += 1.0;
+      if (l2 > 0) buf->mutable_data()[0] += 1.0;
       t.set_output(0, std::move(buf));
     };
 
@@ -522,17 +527,31 @@ TEST(TaskCtx, TakeInputRaisesOnAnEmptySlot) {
 
 TEST(TaskCtx, TakeInputCopiesOnlyWhenTheHandleIsShared) {
   DataBuf sole = make_buf(4, 2.0);
-  const std::vector<double>* sole_obj = sole.get();
+  const Buffer* sole_obj = sole.get();
   const DataBuf shared = make_buf(4, 3.0);
-  TaskCtx t(nullptr, TaskKey{0, params_of(0)}, {std::move(sole), shared}, 0);
+  vc::Cluster cluster(1);
+  ga::GlobalArray array(&cluster, 8);
+  const std::vector<double> block = {1.0, 2.0, 3.0, 4.0};
+  array.put(2, 4, block.data());
+  TaskCtx t(nullptr, TaskKey{0, params_of(0)},
+            {std::move(sole), shared, array.view(2, 4)}, 0);
   // The task holds the only handle: it gets the buffer itself.
   EXPECT_EQ(t.take_input(0).get(), sole_obj);
   // Someone else still holds one: the task gets a private, equal copy.
   const DataBuf taken = t.take_input(1);
   ASSERT_NE(taken, shared);
-  EXPECT_EQ(*taken, *shared);
-  (*taken)[0] = -1.0;
+  EXPECT_EQ(contents(taken), contents(shared));
+  taken->mutable_data()[0] = -1.0;
   EXPECT_EQ((*shared)[0], 3.0);
+  // The only handle to a view still gets a copy: the task owns it, and
+  // writing it leaves the Global Array block as it was.
+  const DataBuf mine = t.take_input(2);
+  ASSERT_FALSE(mine->borrowed());
+  EXPECT_EQ(contents(mine), block);
+  mine->mutable_data()[0] = -1.0;
+  std::vector<double> after(4);
+  array.get(2, 4, after.data());
+  EXPECT_EQ(after, block);
 }
 
 // --- zero-copy data plane: large buffers cross ranks as handles ---
@@ -550,7 +569,7 @@ struct CrossRankSeen {
 
 std::vector<CrossRankSeen> run_cross_rank(const std::vector<size_t>& elems) {
   const int n = static_cast<int>(elems.size());
-  std::vector<std::weak_ptr<std::vector<double>>> produced(elems.size());
+  std::vector<std::weak_ptr<Buffer>> produced(elems.size());
   std::vector<CrossRankSeen> seen(elems.size());
   std::mutex mu;
   vc::Cluster cluster(2);
@@ -568,7 +587,8 @@ std::vector<CrossRankSeen> run_cross_rank(const std::vector<size_t>& elems) {
     prod.body = [&](TaskCtx& t) {
       const auto i = static_cast<size_t>(t.params()[0]);
       DataBuf buf = make_buf(elems[i]);
-      std::iota(buf->begin(), buf->end(), static_cast<double>(i));
+      std::iota(buf->mutable_data(), buf->mutable_data() + buf->size(),
+                static_cast<double>(i));
       {
         std::lock_guard lock(mu);
         produced[i] = buf;
@@ -587,7 +607,7 @@ std::vector<CrossRankSeen> run_cross_rank(const std::vector<size_t>& elems) {
     cons.body = [&](TaskCtx& t) {
       const auto i = static_cast<size_t>(t.params()[0]);
       CrossRankSeen r;
-      const std::vector<double>* producers_obj = nullptr;
+      const Buffer* producers_obj = nullptr;
       {
         std::lock_guard lock(mu);
         const DataBuf producers = produced[i].lock();
@@ -596,7 +616,7 @@ std::vector<CrossRankSeen> run_cross_rank(const std::vector<size_t>& elems) {
       }
       std::vector<double> want(elems[i]);
       std::iota(want.begin(), want.end(), static_cast<double>(i));
-      r.contents_ok = *t.input(0) == want;
+      r.contents_ok = contents(t.input(0)) == want;
       // Taken while the producer's object (if it is this one) still lives,
       // so a copy cannot reuse its address.
       r.took_same_object =
@@ -663,7 +683,7 @@ TEST(ZeroCopy, FanOutTakerGetsAPrivateCopy) {
     local.enumerate_rank = prod.enumerate_rank;
     local.body = [](TaskCtx& t) {
       DataBuf mine = t.take_input(0);
-      std::fill(mine->begin(), mine->end(), -1.0);
+      std::fill_n(mine->mutable_data(), mine->size(), -1.0);
     };
     TaskClass remote;
     remote.name = "REMOTE";

@@ -283,7 +283,8 @@ TEST(SlowFabric, ChainSurvivesLatencyAndBandwidthLimits) {
     step.body = [&](TaskCtx& t) {
       DataBuf buf = t.params()[1] == 0 ? make_buf(512, 1.0)
                                        : t.take_input(0);
-      for (auto& x : *buf) x += 1.0;
+      double* x = buf->mutable_data();
+      for (size_t j = 0; j < buf->size(); ++j) x[j] += 1.0;
       if (t.params()[1] == 5) {
         std::lock_guard lock(mu);
         finals[static_cast<size_t>(t.params()[0])] = (*buf)[0];

@@ -246,7 +246,7 @@ struct LargeInputSeen {
 /// compares against what it received.
 void run_large_inputs(vc::RankCtx& rctx, int width, size_t elems,
                       Options opts,
-                      std::vector<std::weak_ptr<std::vector<double>>>* feed_objs,
+                      std::vector<std::weak_ptr<Buffer>>* feed_objs,
                       std::vector<LargeInputSeen>* seen, std::mutex* mu,
                       std::vector<RankReport>* reports) {
   const int nranks = rctx.nranks();
@@ -265,8 +265,9 @@ void run_large_inputs(vc::RankCtx& rctx, int width, size_t elems,
   feed.body = [elems, feed_objs, mu](TaskCtx& t) {
     const int i = t.params()[0];
     DataBuf buf = make_buf(elems);
+    double* d = buf->mutable_data();
     for (size_t j = 0; j < elems; ++j) {
-      (*buf)[j] = feed_val(i) + static_cast<double>(j);
+      d[j] = feed_val(i) + static_cast<double>(j);
     }
     {
       std::lock_guard lock(*mu);
@@ -294,7 +295,7 @@ void run_large_inputs(vc::RankCtx& rctx, int width, size_t elems,
     // and drop the extra handle before take_input counts the holders. A
     // copy is allocated while the original still lives, so it can never
     // come back at the original's address.
-    const std::vector<double>* producers_obj = nullptr;
+    const Buffer* producers_obj = nullptr;
     bool read_same = false;
     {
       std::lock_guard lock(*mu);
@@ -305,9 +306,10 @@ void run_large_inputs(vc::RankCtx& rctx, int width, size_t elems,
     DataBuf in = t.take_input(0);
     const bool took_same = in.get() == producers_obj;
     bool ok = in->size() == elems;
+    double* d = in->mutable_data();
     for (size_t j = 0; ok && j < elems; ++j) {
-      ok = (*in)[j] == feed_val(i) + static_cast<double>(j);
-      (*in)[j] = (*in)[j] * 3.0 + i;
+      ok = d[j] == feed_val(i) + static_cast<double>(j);
+      d[j] = d[j] * 3.0 + i;
     }
     std::lock_guard lock(*mu);
     (*seen)[static_cast<size_t>(i)] =
@@ -340,7 +342,7 @@ std::vector<LargeInputSeen> check_large_inputs(bool failure_detection) {
   const int nranks = 4, width = 96;
   const size_t elems = 8 * Context::kEagerLimit + 3;
   vc::Cluster cluster(nranks);
-  std::vector<std::weak_ptr<std::vector<double>>> feed_objs(
+  std::vector<std::weak_ptr<Buffer>> feed_objs(
       static_cast<size_t>(width));
   std::vector<LargeInputSeen> seen(static_cast<size_t>(width));
   std::vector<RankReport> reports(static_cast<size_t>(nranks));
@@ -438,8 +440,9 @@ TEST_F(StealFunctional, StolenInputSharedWithASiblingStaysTheVictims) {
     feed.enumerate_rank = on_rank0;
     feed.body = [elems](TaskCtx& t) {
       DataBuf buf = make_buf(elems);
+      double* d = buf->mutable_data();
       for (size_t j = 0; j < elems; ++j) {
-        (*buf)[j] = feed_val(t.params()[0]) + static_cast<double>(j);
+        d[j] = feed_val(t.params()[0]) + static_cast<double>(j);
       }
       t.set_output(0, std::move(buf));
     };
@@ -455,7 +458,8 @@ TEST_F(StealFunctional, StolenInputSharedWithASiblingStaysTheVictims) {
       spin_for_us(500);
       DataBuf in = t.take_input(0);
       const bool ok = pattern_ok(in, i);
-      for (double& x : *in) x = -x;  // in place on whatever take_input gave
+      double* d = in->mutable_data();  // in place on whatever take_input gave
+      for (size_t j = 0; j < in->size(); ++j) d[j] = -d[j];
       std::lock_guard lock(mu);
       heavy_rank[static_cast<size_t>(i)] = my_rank;
       heavy_ok[static_cast<size_t>(i)] = ok;

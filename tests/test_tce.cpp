@@ -15,6 +15,7 @@
 #include "tce/original_exec.h"
 #include "tce/ptg_build.h"
 #include "tce/ptg_exec.h"
+#include "tce/ptg_session.h"
 #include "tce/reference_exec.h"
 #include "tce/tiles.h"
 #include "tce/variants.h"
@@ -250,6 +251,27 @@ TEST(Variants, PrioritySchemeMatchesPaperFormula) {
 
 // --- executor equivalence (the paper's 14-digit agreement, claim C9) ---
 
+void fill_random(ga::GlobalArray& g, Rng& rng) {
+  std::vector<double> data(static_cast<size_t>(g.size()));
+  for (auto& x : data) x = rng.uniform(-1.0, 1.0);
+  g.put(0, g.size(), data.data());
+}
+
+std::vector<double> contents(const ga::GlobalArray& g) {
+  std::vector<double> out(static_cast<size_t>(g.size()));
+  g.get(0, g.size(), out.data());
+  return out;
+}
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double m = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::fabs(a[i] - b[i]));
+  }
+  return m;
+}
+
 class ExecutorEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -274,20 +296,8 @@ class ExecutorEquivalence : public ::testing::Test {
     r_ga_->get(0, fx_->r.ga_size(), reference_.data());
   }
 
-  static void fill_random(ga::GlobalArray& g, Rng& rng) {
-    std::vector<double> data(static_cast<size_t>(g.size()));
-    for (auto& x : data) x = rng.uniform(-1.0, 1.0);
-    g.put(0, g.size(), data.data());
-  }
-
   double max_diff_vs_reference() {
-    std::vector<double> out(reference_.size());
-    r_ga_->get(0, r_ga_->size(), out.data());
-    double m = 0.0;
-    for (size_t i = 0; i < out.size(); ++i) {
-      m = std::max(m, std::fabs(out[i] - reference_[i]));
-    }
-    return m;
+    return max_abs_diff(contents(*r_ga_), reference_);
   }
 
   std::unique_ptr<PlanFixture> fx_;
@@ -418,6 +428,117 @@ TEST_F(ExecutorEquivalence, BuildPtgPrioritiesFollowTheVariant) {
     EXPECT_GT(instances, fx_->plan.chains.size()) << var.name;
   }
 }
+
+// --- READ tasks hand out views of the operand blocks ---
+
+// A plan that accumulates into an array it also reads would have its GEMMs
+// read WRITE_C's partial sums through the views, so both places a StoreList
+// is bound to a plan refuse it. The template's result array is as wide as
+// t's so the aliased rebind passes the extent check and reaches this one.
+TEST_F(ExecutorEquivalence, BindingRejectsAResultArrayThatIsAlsoAnOperand) {
+  StoreList aliased = storage_.stores();
+  aliased[2].ga = t_ga_.get();
+  EXPECT_THROW(build_ptg(fx_->plan, aliased, VariantConfig::v5(), 3),
+               InvalidArgument);
+
+  ga::GlobalArray wide(cluster_.get(), fx_->t.ga_size());
+  StoreList stores = storage_.stores();
+  stores[2].ga = &wide;
+  TemplateKey key;
+  key.subroutine = "t2_7";
+  key.tile_fingerprint = fingerprint_tile_space(fx_->space.spec());
+  key.variant = variant_signature(VariantConfig::v5());
+  key.nranks = 3;
+  PtgTemplate tpl(key, fx_->plan, stores, VariantConfig::v5());
+  EXPECT_THROW(tpl.rebind(aliased), InvalidArgument);
+  EXPECT_EQ(tpl.stores()[2].ga, &wide);  // the refused binding bound nothing
+  EXPECT_EQ(tpl.rebinds(), 0u);
+}
+
+/// t2_7 (v, t -> r) or the fused plan (t2_7 plus the hh ladder, w, t -> r)
+/// under one variant on three ranks, driven through one PtgSession so the
+/// second submission reuses the cached graph and its READ tasks.
+class ReadViews : public ::testing::TestWithParam<std::tuple<bool, int>> {
+ protected:
+  void SetUp() override {
+    variant_ =
+        VariantConfig::all()[static_cast<size_t>(std::get<1>(GetParam()))];
+    plan_ = fx_.plan;
+    stores_ = {{&fx_.v, &v_ga_}, {&fx_.t, &t_ga_}, {&fx_.r, &r_ga_}};
+    if (std::get<0>(GetParam())) {
+      plan_ = fuse_plans(
+          plan_, inspect_hh_ladder(fx_.space, {&w_, &fx_.t, &fx_.r}),
+          {3, 1, 2});
+      stores_.push_back({&w_, &w_ga_});
+    }
+  }
+
+  uint64_t operand_gets() const {
+    return v_ga_.ops_get() + t_ga_.ops_get() + w_ga_.ops_get();
+  }
+
+  std::vector<double> reference() {
+    StoreList stores = stores_;
+    stores[2].ga = &ref_ga_;
+    ref_ga_.zero();
+    execute_reference(plan_, stores);
+    return contents(ref_ga_);
+  }
+
+  PlanFixture fx_;
+  BlockTensor4 w_{fx_.space,
+                  {RangeKind::kOcc, RangeKind::kOcc, RangeKind::kOcc,
+                   RangeKind::kOcc}};
+  vc::Cluster cluster_{3};
+  ga::GlobalArray v_ga_{&cluster_, fx_.v.ga_size()};
+  ga::GlobalArray t_ga_{&cluster_, fx_.t.ga_size()};
+  ga::GlobalArray w_ga_{&cluster_, w_.ga_size()};
+  ga::GlobalArray r_ga_{&cluster_, fx_.r.ga_size()};
+  ga::GlobalArray ref_ga_{&cluster_, fx_.r.ga_size()};
+  VariantConfig variant_;
+  ChainPlan plan_;
+  StoreList stores_;
+};
+
+TEST_P(ReadViews, SubmissionsReadTheCurrentOperandsWithoutCopies) {
+  TemplateKey key;
+  key.subroutine = std::get<0>(GetParam()) ? "fused" : "t2_7";
+  key.tile_fingerprint = fingerprint_tile_space(fx_.space.spec());
+  key.variant = variant_signature(variant_);
+  key.nranks = cluster_.nranks();
+  PtgExecOptions opts;
+  opts.variant = variant_;
+  opts.workers_per_rank = 2;
+  PtgSession session(
+      cluster_, std::make_shared<PtgTemplate>(key, plan_, stores_, variant_),
+      opts);
+  Rng rng(29);
+  std::vector<double> previous;
+  for (int round = 0; round < 2; ++round) {
+    // Round 1 puts new operand contents into the same arrays.
+    for (ga::GlobalArray* g : {&v_ga_, &t_ga_, &w_ga_}) fill_random(*g, rng);
+    r_ga_.zero();
+    const uint64_t gets = operand_gets();
+    session.submit(stores_);
+    EXPECT_EQ(operand_gets(), gets) << "round " << round;
+    if (round == 0) {
+      EXPECT_EQ(gets, 0u);
+    }
+    const std::vector<double> got = contents(r_ga_);
+    EXPECT_LT(max_abs_diff(got, reference()), 1e-12) << "round " << round;
+    EXPECT_NE(got, previous) << "round " << round;
+    previous = got;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    T2_7AndFused, ReadViews,
+    ::testing::Combine(::testing::Bool(), ::testing::Range(0, 5)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "fused_" : "t2_7_") +
+             VariantConfig::all()[static_cast<size_t>(std::get<1>(info.param))]
+                 .name;
+    });
 
 }  // namespace
 }  // namespace mp::tce

@@ -316,7 +316,7 @@ Message segment_message(size_t header_bytes,
   m.dst = 1;
   m.header.assign(header_bytes, 0x5a);
   for (size_t n : segment_elems) {
-    m.segments.push_back(std::make_shared<std::vector<double>>(n, 1.5));
+    m.segments.push_back(make_buf(n, 1.5));
   }
   return m;
 }

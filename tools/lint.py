@@ -4,17 +4,25 @@
 Part of the static-analysis gate (ctest -L analysis, test name lint_py).
 Checks, each with a stable rule id:
 
-  raw-databuf-new        DataBuf vectors must come from make_buf /
-                         make_buf_pooled (src/ptg/types.h), never a raw
-                         `new std::vector<double>` — otherwise the pool
-                         recycling and the MP_ANALYSIS lifecycle tracking
-                         are silently bypassed.
+  raw-databuf-new        Every DataBuf handle comes from make_buf /
+                         make_buf_pooled or the Global Array view factory
+                         (GlobalArray::view, the one caller of make_view),
+                         all in src/support/data_buf.h: no `new Buffer` or
+                         `make_shared<Buffer>` outside that header, and no
+                         `make_view(` outside it and src/ga/. Otherwise the
+                         pool recycling and the MP_ANALYSIS lifecycle
+                         tracking are silently bypassed, or a view of
+                         storage nobody vouches for escapes.
   lock-in-task-body      No lock acquisition inside a `.body = [...]` task
                          lambda: task bodies must be lock-free so the
                          scheduler can never deadlock through user code.
                          Waiver: a `// mp-lint: allow(lock-in-task-body)`
                          comment inside the body (the paper's WRITE
                          critical region carries one).
+  ga-copy-in-task-body   No `get_hash_block(` call inside a `.body = [...]`
+                         task lambda under src/: a task hands a Global
+                         Array block on as a read-only view
+                         (ga::view_hash_block) instead of copying it out.
   pragma-once            Every header under src/ starts its preprocessor
                          life with #pragma once.
   iostream-in-header     No <iostream> in src/ headers (drags in static
@@ -82,7 +90,11 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MAX_INCLUDES = 30
 
-RAW_NEW_RE = re.compile(r"\bnew\s+std::vector<\s*double\s*>")
+DATA_BUF_FILE = "src/support/data_buf.h"
+RAW_BUF_RE = re.compile(
+    r"\bnew\s+(?:mp::)?Buffer\b|\bmake_shared\s*<\s*(?:mp::)?Buffer\s*>")
+MAKE_VIEW_RE = re.compile(r"\bmake_view\s*\(")
+GA_COPY_RE = re.compile(r"\bget_hash_block\s*\(")
 LOCK_RE = re.compile(
     r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b|\.lock\(\)")
 BODY_RE = re.compile(r"\bbody\s*=\s*\[")
@@ -170,12 +182,18 @@ def lint_file(path, findings):
         findings.append((rel, line_of(text, m.start()), "using-namespace-std",
                          "`using namespace std;` is banned"))
 
-    if str(rel) != "src/ptg/types.h":
-        for m in RAW_NEW_RE.finditer(code):
+    if str(rel) != DATA_BUF_FILE:
+        for m in RAW_BUF_RE.finditer(code):
             findings.append(
                 (rel, line_of(text, m.start()), "raw-databuf-new",
-                 "raw `new std::vector<double>`; use make_buf/"
-                 "make_buf_pooled (src/ptg/types.h)"))
+                 f"raw `{m.group(0)}`; use make_buf/make_buf_pooled "
+                 f"({DATA_BUF_FILE})"))
+        if not (in_src and "ga" in rel.parts):
+            for m in MAKE_VIEW_RE.finditer(code):
+                findings.append(
+                    (rel, line_of(text, m.start()), "raw-databuf-new",
+                     "`make_view` outside the Global Array view factory; "
+                     "use ga::GlobalArray::view / ga::view_hash_block"))
 
     if in_src:
         lint_bulk_copies(rel, text, code, findings)
@@ -218,6 +236,13 @@ def lint_file(path, findings):
                      "lock-in-task-body",
                      "lock acquisition inside a task body; task bodies "
                      "must be lock-free (waiver: // " + WAIVER + ")"))
+            for copy in GA_COPY_RE.finditer(body_code):
+                findings.append(
+                    (rel, line_of(text, lo + copy.start()),
+                     "ga-copy-in-task-body",
+                     "`get_hash_block` copies a Global Array block inside "
+                     "a task body; hand it on as a view "
+                     "(ga::view_hash_block)"))
 
         n_includes = len(re.findall(r"^\s*#\s*include\b", code, re.M))
         if n_includes > MAX_INCLUDES:
