@@ -34,18 +34,24 @@
 //   ctx.run();      // optional: executes the whole DAG again
 // The first run() spawns the rank's comm and worker threads; they park
 // between runs and are joined by the destructor.
+//
+// State is split by lifetime. The Context holds what outlives a run: the
+// rank, the taskpool, the options, the threads with their park/wake
+// handshake and the lifecycle counters. Everything one run creates and
+// leaves behind — pending deposits, counters and termination latches, the
+// error latch, the outbox, the scheduler, steal and failure state, the
+// trace buffers — lives in one Submission, which context.cpp defines. The
+// constructor builds the first Submission and every later run() replaces
+// the finished one with a fresh one, so no per-run field is reset by hand.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/diagnostics.h"
@@ -219,23 +225,23 @@ class Context {
   /// comm and the other worker threads, which park on a submission epoch
   /// when the run ends. run() may be called again to execute the whole
   /// graph once more on the parked threads: each later call first performs
-  /// the between-runs reset — nothing if try_reset_in_band() already did
-  /// it, else the collective quiesce-and-drain reset — so every rank must
-  /// make the same number of calls. A run that unwinds with an error
-  /// leaves the Context usable for the next one. When the MP_VERIFY
+  /// the collective between-runs reset (validate the finished run's stats
+  /// unless it raised, drain the mailbox, replace its Submission), so every
+  /// rank must make the same number of calls. A run that unwinds with an
+  /// error leaves the Context usable for the next one. When the MP_VERIFY
   /// environment variable is set (to anything but "0"), rank 0 runs
   /// validate_plan() on the first call (the graph and cluster size cannot
   /// change) and a malformed graph unwinds the whole job with a StateError
   /// carrying the diagnostics; Options::assume_verified skips the pass.
   void run();
 
-  /// Per-submission state observed (and cleared) by the most recent
-  /// between-runs reset (all zero until the first reset). Sizes are
-  /// captured before clearing, so tests can assert nothing leaks across
-  /// submissions: after a clean (no-fault) run, every field except
-  /// `submission` and `lineage_entries`/`activated_keys` (which bound the
-  /// documented O(activations) retention to exactly one submission) must
-  /// be zero.
+  /// Per-submission state observed by the most recent between-runs reset,
+  /// read from the finished run's Submission just before it was discarded
+  /// (all zero until the first reset, which the second run() performs).
+  /// Tests assert on it that nothing leaks across submissions: after a
+  /// clean (no-fault) run, every field except `submission` and
+  /// `lineage_entries`/`activated_keys` (which bound the documented
+  /// O(activations) retention to exactly one submission) must be zero.
   struct ResetReport {
     uint64_t submission = 0;      ///< 1-based index of the finished run
     size_t pending_deposits = 0;  ///< task instances still awaiting inputs
@@ -248,19 +254,6 @@ class Context {
     size_t outbox_messages = 0;   ///< unflushed outbound sends dropped
   };
   const ResetReport& last_reset_report() const { return reset_report_; }
-
-  /// Steady-state fast path: perform the between-runs reset right now,
-  /// with no collectives, if it is provably safe — the previous run()
-  /// completed cleanly, stealing and failure detection are off, and the
-  /// fabric is Fabric::lossless_immediate() (so the closing barrier
-  /// already proved the mailbox final and nothing can straggle in).
-  /// Returns true if the reset ran; false means the next run() will
-  /// fall back to the collective quiesce-and-drain reset. The caller must
-  /// order this before any rank begins the next submission (PtgSession
-  /// does so via its all-ranks completion rendezvous) and must call it
-  /// from the same thread that calls run(). Call only after extracting
-  /// per-run results — the reset zeroes every counter.
-  bool try_reset_in_band();
 
   /// Completed run() calls on this Context.
   uint64_t submissions() const {
@@ -278,28 +271,25 @@ class Context {
   int nranks() const { return rctx_.nranks(); }
   const Options& options() const { return opts_; }
 
-  /// Post-run statistics. tasks_executed counts bodies run on THIS rank:
-  /// its own tasks (executed_) plus migrated-in foreign ones (each of
-  /// which sent a credit). tasks_completed counts this rank's OWN tasks
-  /// finished anywhere — executed here plus credits received from thieves
-  /// — the quantity termination is defined over. Without stealing the two
-  /// are equal.
-  uint64_t tasks_executed() const {
-    return executed_.load() + st_credits_sent_.load();
-  }
-  uint64_t tasks_completed() const {
-    return executed_.load() + st_credits_received_.load();
-  }
-  uint64_t expected_tasks() const { return expected_.load(); }
-  uint64_t remote_activations_sent() const { return remote_sent_.load(); }
-  SchedStats scheduler_stats() const { return sched_->stats(); }
+  /// Post-run statistics of the latest run, readable after run() returns
+  /// until the next run() begins. tasks_executed counts bodies run on THIS
+  /// rank: its own tasks plus migrated-in foreign ones (each of which sent
+  /// a credit). tasks_completed counts this rank's OWN tasks finished
+  /// anywhere — executed here plus credits received from thieves — the
+  /// quantity termination is defined over. Without stealing the two are
+  /// equal.
+  uint64_t tasks_executed() const;
+  uint64_t tasks_completed() const;
+  uint64_t expected_tasks() const;
+  uint64_t remote_activations_sent() const;
+  SchedStats scheduler_stats() const;
   StealStats steal_stats() const;
   /// Own tasks migrated out by stealing whose completion credit has not
   /// arrived yet. Zero after a run that completed globally: every migration
   /// was credited home. The map belongs to the comm thread, so read it only
-  /// between runs (after run() returned, before the next one) — with
-  /// stealing on, last_reset_report() only captures it at the next run.
-  size_t outstanding_migrations() const { return outstanding_migs_.size(); }
+  /// between runs (after run() returned, before the next one);
+  /// last_reset_report() captures it at the next run.
+  size_t outstanding_migrations() const;
   /// Failure-detector / recovery counters (see FailureStats; snapshot after
   /// run() for the equality invariants to hold).
   FailureStats failure_stats() const;
@@ -307,50 +297,28 @@ class Context {
   /// rank died, not because the job finished.
   bool killed() const { return killed_.load(std::memory_order_acquire); }
   /// Bitmask of peers this rank has confirmed dead.
-  uint64_t confirmed_dead_mask() const {
-    return confirmed_dead_mask_.load(std::memory_order_acquire);
-  }
+  uint64_t confirmed_dead_mask() const;
 
-  /// Post-run trace of this rank (empty unless enable_tracing).
-  const Trace& trace() const { return trace_; }
+  /// Post-run trace of this rank (empty unless enable_tracing); valid
+  /// until the next run() begins.
+  const Trace& trace() const;
 
  private:
-  struct Pending {
-    std::vector<DataBuf> inputs;
-    int arrived = 0;
-    int threshold = 0;
-    bool initialized = false;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<TaskKey, Pending, TaskKeyHash> map;
-    /// Keys whose activation threshold completed here (failure runs only):
-    /// any further deposit for them is a recovery replay racing the
-    /// original delivery, dropped as a duplicate.
-    std::unordered_set<TaskKey, TaskKeyHash> activated;
-  };
-  static constexpr int kShards = 16;
+  /// The state of one run (see the file comment); defined in context.cpp.
+  struct Submission;
 
   void enumerate_startup();
   /// One full submission: verify (if due), enumerate, wake the parked
   /// threads, execute as worker 0, wait for them to park again, unwind.
   void run_submission();
-  /// Collective: restore every piece of per-submission state to its
-  /// freshly-constructed value between two run() calls. Must only run
-  /// while all of this rank's threads are parked and after the previous
-  /// run's closing barrier. Snapshots + validates all stats pairs BEFORE
-  /// zeroing any counter (lint: reset-stats-discipline), quiesces the
-  /// fabric (rank 0) and drains/rebases the mailbox between barriers, and
-  /// records what it cleared in last_reset_report().
+  /// Collective, between two run() calls, while all of this rank's threads
+  /// are parked and after the previous run's closing barrier: snapshot and
+  /// validate every stats family of the finished Submission (lint:
+  /// reset-stats-discipline; skipped if that run raised), record its
+  /// leftovers in last_reset_report(), quiesce the fabric (rank 0) and
+  /// drain/rebase the mailbox between two barriers, then replace the
+  /// Submission with a fresh one.
   void reset_for_resubmission();
-  /// The local (non-collective) body of the reset: stats validation, state
-  /// clears, counter re-arm, mailbox drain + window rebase. Requires all of
-  /// this rank's threads parked AND a guarantee that no message is in
-  /// flight or can still arrive. reset_for_resubmission() establishes that
-  /// with a quiesce + barrier pair; try_reset_in_band() gets it for free
-  /// from a clean run on a Fabric::lossless_immediate() fabric.
-  /// `submission` is recorded in last_reset_report().
-  void reset_local_state(uint64_t submission);
   /// Spawn the long-lived comm + worker threads (first submission only;
   /// idempotent).
   void start_threads();
@@ -392,8 +360,11 @@ class Context {
   /// reconciliation — a pre-death report does not count after a death).
   /// Returns false for an already-seen rank (resends are not progress).
   bool note_rank_done(int r, uint64_t dead_mask);
-  /// term_mu_ held: is the job globally done under rank 0's current view?
+  /// Termination lock held: is the job globally done under rank 0's
+  /// current view?
   bool termination_check_locked();
+  /// Rank 0: send JOB_DONE to every live peer and finish this rank's run.
+  void broadcast_job_done();
   /// Comm thread: the steal agent — issue a STEAL_REQUEST when idle.
   void steal_agent_tick(std::chrono::steady_clock::time_point now_tp);
   /// Comm thread: serve a STEAL_REQUEST (harvest + reply).
@@ -449,154 +420,23 @@ class Context {
   ReadyTask build_task(const TaskKey& key, std::vector<DataBuf> inputs);
   void make_ready(const TaskKey& key, std::vector<DataBuf> inputs);
   void execute_task(ReadyTask t, int wid);
-  double now() const {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
 
   vc::RankCtx& rctx_;
   const Taskpool& pool_;
   Options opts_;
-  std::unique_ptr<Scheduler> sched_;
-
-  Shard shards_[kShards];
-  /// Own task instances plus instances adopted from dead ranks. Atomic:
-  /// recovery (comm thread) grows it while workers compare against it.
-  std::atomic<uint64_t> expected_{0};
-  std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<bool> done_{false};
-
-  std::mutex error_mu_;
-  std::exception_ptr first_error_;
-  std::atomic<bool> abort_broadcast_{false};
-
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-
-  std::mutex out_mu_;
-  std::deque<vc::Message> outbox_;
-  std::atomic<uint64_t> remote_sent_{0};
-  std::atomic<bool> comm_stop_{false};
-
-  // Progress tracking for the watchdog: bumped on every task execution,
-  // dependency deposit, outbound transfer and inbound message.
-  std::atomic<uint64_t> progress_{0};
-  std::atomic<int> active_workers_{0};
-
-  // -- inter-node stealing state --
-  // Steal-protocol counters (see StealStats for the pairing discipline).
-  std::atomic<uint64_t> st_requests_sent_{0};
-  std::atomic<uint64_t> st_requests_received_{0};
-  std::atomic<uint64_t> st_replies_sent_{0};
-  std::atomic<uint64_t> st_replies_received_{0};
-  std::atomic<uint64_t> st_migrated_out_{0};
-  std::atomic<uint64_t> st_migrated_in_{0};
-  std::atomic<uint64_t> st_credits_sent_{0};
-  std::atomic<uint64_t> st_credits_received_{0};
-  /// Migrated-in tasks queued or executing here, not yet credited home.
-  std::atomic<int64_t> foreign_pending_{0};
-  /// 1 while a STEAL_REQUEST from this rank is unanswered.
-  std::atomic<int> steal_outstanding_{0};
-  /// Latch: this rank's own work is complete (report sent / done_ set).
-  std::atomic<bool> local_complete_{false};
-
-  // Comm-thread-only steal agent state (no locking needed).
-  std::vector<int64_t> load_hints_;  ///< last-heard queue depth per rank
+  /// The current run's state: built by the constructor, replaced by every
+  /// later run() (reset_for_resubmission) while all threads are parked.
+  std::unique_ptr<Submission> sub_;
+  /// Victim selection for stealing (comm thread only). Its stream continues
+  /// across runs.
   Rng steal_rng_{0};
-  std::chrono::steady_clock::time_point next_steal_at_;
-  std::chrono::steady_clock::time_point steal_reply_deadline_;
-  std::chrono::steady_clock::time_point next_done_resend_;
-
-  // Rank 0's termination bookkeeping (guarded by term_mu_; worker threads
-  // may deliver rank 0's own report while the comm thread delivers peers').
-  std::mutex term_mu_;
-  std::vector<uint8_t> rank_done_seen_;
-  /// Per rank: union of the confirmed-dead masks its reports carried. A
-  /// rank only counts as done once this covers rank 0's own dead set.
-  std::vector<uint64_t> rank_done_mask_;
-  bool job_done_broadcast_ = false;
-
-  // -- rank-failure tolerance state --
-  /// Bitmask of peers this rank has confirmed dead (<= 64 ranks, like the
-  /// fabric's fail-stop mask). Written by the comm thread, read by workers
-  /// routing through effective_rank().
-  std::atomic<uint64_t> confirmed_dead_mask_{0};
   /// This rank was crash-injected; run() exits silently via barrier_drop.
   std::atomic<bool> killed_{false};
 
-  /// adopt_mu_ guards the adoption handshake between the comm thread
-  /// (handle_confirmed_death) and workers depositing into foreign-homed
-  /// keys: a key is either adopted (execute here, count here) or its
-  /// completed input set is parked in held_ready_ until adoption.
-  std::mutex adopt_mu_;
-  std::unordered_set<TaskKey, TaskKeyHash> adopted_keys_;
-  std::unordered_map<TaskKey, std::vector<DataBuf>, TaskKeyHash> held_ready_;
-
-  /// Per-destination lineage log: every remote activation sent while the
-  /// failure machinery is active (consumer, slot, payload buffer). On a
-  /// confirmed death the entries toward the victim are replayed to its
-  /// stand-in rank. Guarded by lin_mu_ (workers append, comm replays).
-  struct LineageEntry {
-    TaskKey consumer;
-    int8_t slot = 0;
-    DataBuf buf;
-  };
-  std::mutex lin_mu_;
-  std::vector<std::vector<LineageEntry>> lineage_;
-
-  /// Comm-thread-only: tasks migrated out whose completion credit has not
-  /// arrived (stealing runs). Under failure detection each entry also
-  /// retains the input handles, so a dead thief's haul can be re-injected
-  /// locally; without it `inputs` stays empty, so the bookkeeping never
-  /// shares a handle the thief may want to mutate in place.
-  struct OutstandingMig {
-    int holder = -1;
-    double priority = 0.0;
-    std::vector<DataBuf> inputs;
-  };
-  std::unordered_map<TaskKey, OutstandingMig, TaskKeyHash> outstanding_migs_;
-
-  // Comm-thread-only failure detector state.
-  std::vector<std::chrono::steady_clock::time_point> last_heard_;
-  std::vector<uint8_t> peer_suspect_;
-  std::vector<std::chrono::steady_clock::time_point> suspect_since_;
-  std::chrono::steady_clock::time_point next_heartbeat_;
-
-  // FailureStats counters (comm thread writes; dup-deposit drops also from
-  // workers). deaths_confirmed is incremented before any recovery-work
-  // counter it bounds.
-  std::atomic<uint64_t> fs_heartbeats_sent_{0};
-  std::atomic<uint64_t> fs_heartbeats_received_{0};
-  std::atomic<uint64_t> fs_probes_sent_{0};
-  std::atomic<uint64_t> fs_probes_answered_{0};
-  std::atomic<uint64_t> fs_suspicions_{0};
-  std::atomic<uint64_t> fs_suspicions_cleared_{0};
-  std::atomic<uint64_t> fs_deaths_confirmed_{0};
-  std::atomic<uint64_t> fs_tasks_adopted_{0};
-  std::atomic<uint64_t> fs_lineage_replayed_{0};
-  std::atomic<uint64_t> fs_tasks_reinjected_{0};
-  std::atomic<uint64_t> fs_fenced_dropped_{0};
-  std::atomic<uint64_t> fs_dup_deposits_dropped_{0};
-  std::atomic<uint64_t> fs_watchdog_resets_on_death_{0};
-
-  std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::vector<TraceEvent>> worker_events_;
-  std::vector<TraceEvent> comm_events_;
-  Trace trace_;
-
   // -- submission lifecycle (threads parked between runs) --
-  /// Serial-entry guard: trips if run() is re-entered while running or
-  /// overlaps try_reset_in_band().
+  /// Serial-entry guard: trips if run() is re-entered while running.
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> runs_completed_{0};
-  /// A submission has run (even one that unwound), so the next run() must
-  /// reset first. Only touched while running_ is held, hence plain bools.
-  bool needs_reset_ = false;
-  /// The last submission unwound with an error: its counter pairs are
-  /// legitimately torn, so the next reset skips the strict validation.
-  bool prev_submission_errored_ = false;
   /// MP_VERIFY ran for this Context (once: its pool and cluster are fixed).
   bool verified_once_ = false;
   /// submit_mu_ guards the park/wake handshake: epoch, park counts and the

@@ -76,9 +76,9 @@ struct PtgExecResult {
 
 /// Map executor options onto runtime options. Shared by execute_ptg and
 /// PtgSession so both configure the runtime the same way
-/// (assume_verified is left at its default; PtgSession sets it from its
-/// template). Priorities are not an option: build_ptg encodes the
-/// variant's choice in the graph.
+/// (assume_verified is left at its default; PtgSession sets it, because
+/// the template cache verifies each template it builds). Priorities are
+/// not an option: build_ptg encodes the variant's choice in the graph.
 ptg::Options runtime_options(const PtgExecOptions& opts);
 
 /// Extract the per-rank result block from a Context whose run() returned

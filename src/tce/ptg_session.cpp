@@ -16,9 +16,10 @@ PtgSession::PtgSession(vc::Cluster& cluster, std::shared_ptr<PtgTemplate> tpl,
              "PtgSession: options variant does not match the template's");
 
   ptg::Options ropts = runtime_options(opts_);
-  // mp-verify already ran (or was off) when the template was built; the
-  // runtime must not repeat it per Context, let alone per submission.
-  ropts.assume_verified = tpl_->verified();
+  // The template cache ran mp-verify when it built this template, if
+  // MP_VERIFY was set then; the runtime must not repeat it per Context, let
+  // alone per submission.
+  ropts.assume_verified = true;
 
   const int n = cluster_.nranks();
   results_.resize(static_cast<size_t>(n));
@@ -88,14 +89,6 @@ void PtgSession::driver_main(int r) {
         std::lock_guard lock(mu_);
         if (!first_error_) first_error_ = std::current_exception();
       }
-      // Steady-state fast path: after a clean run on an undisturbed
-      // fabric the between-runs reset needs no collectives, so do it now
-      // (results are already extracted) instead of paying the collective
-      // quiesce-and-drain at the start of the next submission. submit()'s
-      // all-ranks rendezvous below orders it before the next epoch. A
-      // no-op whenever the preconditions don't hold (error, kill, faults,
-      // stealing, failure detection).
-      ctx.try_reset_in_band();
     }
     {
       std::lock_guard lock(mu_);

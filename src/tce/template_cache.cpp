@@ -128,8 +128,8 @@ std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(
   }
   if (built && env_verify_enabled()) {
     // mp-verify once per template instead of once per submission: the
-    // graph is a pure function of the key, so the verified bit is valid
-    // for every future hit.
+    // graph is a pure function of the key, so the verdict holds for every
+    // future hit.
     const auto diags = analysis::verify_graph(tpl->pool(), key.nranks);
     if (!diags.empty()) {
       invalidate(key);
@@ -142,9 +142,7 @@ std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(
       ++stats_.verifies_run;
     }
   }
-  if (built) {
-    tpl->mark_verified();  // verified now, or verification is off
-  } else if (tpl->rebind(stores)) {
+  if (!built && tpl->rebind(stores)) {
     std::lock_guard lock(mu_);
     ++stats_.rebinds;
   }

@@ -87,9 +87,6 @@ class PtgTemplate {
   /// InvalidArgument (require_result_not_operand) and binds nothing.
   bool rebind(const StoreList& stores);
 
-  bool verified() const { return verified_.load(std::memory_order_acquire); }
-  void mark_verified() { verified_.store(true, std::memory_order_release); }
-
   uint64_t rebinds() const {
     return rebinds_.load(std::memory_order_relaxed);
   }
@@ -102,7 +99,6 @@ class PtgTemplate {
   std::unique_ptr<StoreList> stores_;
   VariantConfig variant_;
   PtgBuild build_;
-  std::atomic<bool> verified_{false};
   std::atomic<uint64_t> rebinds_{0};
 };
 

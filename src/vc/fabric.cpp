@@ -43,15 +43,6 @@ Fabric::Fabric(std::vector<Mailbox>* mailboxes, FabricConfig cfg)
                    cp.victim < 64,
                "Fabric: CrashPlan victim out of range");
   }
-  // Controlled mode can disturb any message (the engine may drop or reorder
-  // at will), so it never qualifies as lossless-immediate.
-  bool lossless = !delayed_ && !cfg_.faults.any() && cfg_.crash_plans.empty() &&
-                  !cfg_.controlled;
-  for (const auto& [link, faults] : cfg_.link_faults) {
-    (void)link;
-    if (faults.any()) lossless = false;
-  }
-  lossless_immediate_.store(lossless, std::memory_order_release);
   if (delayed_) {
     delivery_thread_ = std::thread([this] { delivery_loop(); });
   }
@@ -267,7 +258,6 @@ void Fabric::kill_rank(int rank) {
   MP_REQUIRE(rank >= 0 && static_cast<size_t>(rank) < mailboxes_->size() &&
                  rank < 64,
              "Fabric::kill_rank: bad rank");
-  lossless_immediate_.store(false, std::memory_order_release);
   const uint64_t bit = 1ULL << rank;
   // Counter-pair ordering: ranks_killed goes up BEFORE the dead bit is
   // published, so a blackholed message (which requires observing the bit)
@@ -296,7 +286,6 @@ void Fabric::revive_rank(int rank) {
 }
 
 void Fabric::partition(int src, int dst) {
-  lossless_immediate_.store(false, std::memory_order_release);
   std::lock_guard lock(part_mu_);
   partitioned_links_.insert({src, dst});
   has_partitions_.store(1, std::memory_order_release);

@@ -53,10 +53,6 @@ struct FaultConfig {
   /// Extra per-message delay drawn uniformly from [0, reorder_jitter_us),
   /// breaking the fabric's per-link FIFO ordering.
   double reorder_jitter_us = 0.0;
-
-  bool any() const {
-    return drop_prob > 0.0 || dup_prob > 0.0 || reorder_jitter_us > 0.0;
-  }
 };
 
 /// A seeded rank-kill: when the fabric has accepted `after_messages`
@@ -229,22 +225,6 @@ class Fabric {
   /// job will ever produce, so a reset can drain them completely.
   void quiesce();
 
-  /// True while this fabric has never been able to disturb or delay a
-  /// message: immediate delivery (zero latency/bandwidth/jitter), no
-  /// drop/dup faults on any link, no crash plans, and neither kill_rank()
-  /// nor partition() was ever called. Sticky false once cleared. After a
-  /// job's closing barrier on such a fabric the mailboxes are already
-  /// final — nothing is in flight and nothing can straggle in — which lets
-  /// the persistent PTG runtime reset in-band at the end of a clean
-  /// submission instead of running the collective quiesce-and-drain reset
-  /// at the start of the next one. Callers that clear the flag (kill,
-  /// partition) must do so between submissions, not concurrently with one:
-  /// ranks sample it independently during a run and a mid-run flip could
-  /// be seen by only a subset of them.
-  bool lossless_immediate() const {
-    return lossless_immediate_.load(std::memory_order_acquire);
-  }
-
   // -- controlled-scheduler mode (FabricConfig::controlled; mp-explore) --
   // In this mode the fabric is a passive in-flight message set: accepted
   // messages park until the exploration engine delivers, drops, or
@@ -318,8 +298,6 @@ class Fabric {
   /// real clusters in the tests and the paper are far smaller). Lock-free
   /// so the send() fast path stays cheap.
   std::atomic<uint64_t> dead_mask_{0};
-  /// See lossless_immediate(); initialized from cfg_ in the constructor.
-  std::atomic<bool> lossless_immediate_{false};
   /// 0 until any partition exists; keeps the common no-partition send()
   /// path from taking part_mu_.
   std::atomic<int> has_partitions_{0};

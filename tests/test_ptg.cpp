@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -511,6 +512,121 @@ TEST(Context, RunTwiceReexecutesTheGraph) {
     EXPECT_EQ(ctx.last_reset_report().submission, 1u);
     EXPECT_EQ(ctx.last_reset_report().pending_deposits, 0u);
   });
+}
+
+// A run that raises leaves its per-run state torn: latches set, deposits
+// and queued tasks left behind. The next run() on the same Context, on a
+// lossless fabric and without PtgSession, must start from fresh state and
+// execute the whole graph exactly once.
+TEST(Context, RerunsCleanlyAfterATaskError) {
+  constexpr int kRanks = 2, kChains = 6, kLen = 4;
+  constexpr int kBadChain = 2, kBadStep = 2;  // owned by rank 0
+  std::vector<std::atomic<int>> step_runs(kChains * kLen);
+  std::vector<std::atomic<int>> sink_runs(kChains);
+  std::vector<std::atomic<int>> finals(kChains);
+  std::atomic<bool> armed{true};
+
+  vc::Cluster cluster(kRanks);
+  cluster.run([&](vc::RankCtx& rctx) {
+    Taskpool pool;
+    // Every hop of every chain crosses ranks, so the rank without the
+    // failing task waits on activations that never come until the abort.
+    auto step_rank = [](const Params& p) { return (p[0] + p[1]) % kRanks; };
+    TaskClass step;
+    step.name = "STEP";
+    step.rank_of = step_rank;
+    step.num_task_inputs = [](const Params& p) { return p[1] == 0 ? 0 : 1; };
+    step.enumerate_rank = [=](int rank) {
+      std::vector<Params> out;
+      for (int l1 = 0; l1 < kChains; ++l1) {
+        for (int l2 = 0; l2 < kLen; ++l2) {
+          if (step_rank(params_of(l1, l2)) == rank) {
+            out.push_back(params_of(l1, l2));
+          }
+        }
+      }
+      return out;
+    };
+    step.body = [&](TaskCtx& t) {
+      const int l1 = t.params()[0], l2 = t.params()[1];
+      if (l1 == kBadChain && l2 == kBadStep && armed.exchange(false)) {
+        throw std::runtime_error("injected task failure");
+      }
+      step_runs[static_cast<size_t>(l1 * kLen + l2)].fetch_add(1);
+      DataBuf buf = l2 == 0 ? make_buf(1, static_cast<double>(l1))
+                            : t.take_input(0);
+      if (l2 > 0) buf->mutable_data()[0] += 1.0;
+      t.set_output(0, std::move(buf));
+    };
+
+    TaskClass sink;
+    sink.name = "SINK";
+    sink.rank_of = [](const Params& p) { return p[0] % kRanks; };
+    sink.num_task_inputs = [](const Params&) { return 1; };
+    sink.enumerate_rank = round_robin(kChains, kRanks);
+    sink.body = [&](TaskCtx& t) {
+      const auto l1 = static_cast<size_t>(t.params()[0]);
+      sink_runs[l1].fetch_add(1);
+      finals[l1].store(static_cast<int>((*t.input(0))[0]));
+    };
+
+    const auto step_id = pool.add_class(std::move(step));
+    const auto sink_id = pool.add_class(std::move(sink));
+    pool.mutable_cls(step_id).route_outputs =
+        [=](const Params& p, std::vector<OutRoute>& r) {
+          if (p[1] < kLen - 1) {
+            r.push_back({TaskKey{step_id, params_of(p[0], p[1] + 1)}, 0, 0});
+          } else {
+            r.push_back({TaskKey{sink_id, params_of(p[0])}, 0, 0});
+          }
+        };
+
+    Context ctx(rctx, pool);
+    // Rank 0 raises the body's error, rank 1 the abort it broadcast.
+    EXPECT_ANY_THROW(ctx.run()) << "rank " << rctx.rank();
+    EXPECT_EQ(ctx.submissions(), 0u);
+    // The failed run ended with a barrier that every rank reaches only
+    // once its threads are parked, and the next run() starts with the
+    // collective reset, so no body runs while rank 0 clears or checks.
+    if (rctx.rank() == 0) {
+      for (auto& n : step_runs) n.store(0);
+      for (auto& n : sink_runs) n.store(0);
+      for (auto& f : finals) f.store(-1);
+    }
+
+    ASSERT_NO_THROW(ctx.run()) << "rank " << rctx.rank();
+    EXPECT_EQ(ctx.submissions(), 1u);
+    EXPECT_EQ(ctx.tasks_executed(), ctx.expected_tasks());
+    EXPECT_EQ(ctx.last_reset_report().submission, 1u);
+    const StealStats ss = ctx.steal_stats();
+    for (uint64_t v : {ss.requests_sent, ss.requests_received,
+                       ss.replies_sent, ss.replies_received,
+                       ss.tasks_migrated_out, ss.tasks_migrated_in,
+                       ss.credits_sent, ss.credits_received}) {
+      EXPECT_EQ(v, 0u) << "rank " << rctx.rank();
+    }
+    const FailureStats fs = ctx.failure_stats();
+    for (uint64_t v :
+         {fs.heartbeats_sent, fs.heartbeats_received, fs.probes_sent,
+          fs.probes_answered, fs.suspicions, fs.suspicions_cleared,
+          fs.deaths_confirmed, fs.tasks_adopted, fs.lineage_replayed,
+          fs.tasks_reinjected, fs.fenced_dropped, fs.dup_deposits_dropped,
+          fs.watchdog_resets_on_death}) {
+      EXPECT_EQ(v, 0u) << "rank " << rctx.rank();
+    }
+    if (rctx.rank() == 0) {
+      for (int i = 0; i < kChains * kLen; ++i) {
+        EXPECT_EQ(step_runs[static_cast<size_t>(i)].load(), 1) << "step " << i;
+      }
+      for (int l1 = 0; l1 < kChains; ++l1) {
+        EXPECT_EQ(sink_runs[static_cast<size_t>(l1)].load(), 1)
+            << "chain " << l1;
+        EXPECT_EQ(finals[static_cast<size_t>(l1)].load(), l1 + kLen - 1)
+            << "chain " << l1;
+      }
+    }
+  });
+  EXPECT_FALSE(armed.load());
 }
 
 // --- take_input: copy on write, and an empty slot raises ---

@@ -31,20 +31,20 @@ Checks, each with a stable rule id:
   include-count          At most MAX_INCLUDES includes per src/ file —
                          a growing include list marks a layering problem.
   using-namespace-std    `using namespace std;` is banned everywhere.
-  reset-stats-discipline The persistent-Context reset body
-                         (Context::reset_local_state in
-                         src/ptg/context.cpp, the worker half of
-                         reset_for_resubmission) must snapshot +
-                         validate() every stats family BEFORE the first
-                         counter is zeroed: each release-ordered counter
-                         write must be paired with an acquire-ordered
-                         snapshot read, or a torn pair silently survives
-                         into the next submission. The families are NOT
-                         hardcoded: every `*Stats`-returning zero-arg
-                         accessor declared in src/ptg/context.h is
-                         discovered by pattern, so adding a new stats
-                         family to the Context automatically extends the
-                         reset obligation.
+  reset-stats-discipline The persistent-Context reset
+                         (Context::reset_for_resubmission in
+                         src/ptg/context.cpp) must snapshot every stats
+                         family into a local and call validate() on it
+                         BEFORE the statement that replaces the finished
+                         run's Submission (`sub_ = std::make_unique<
+                         Submission>(...)`): the replacement discards the
+                         counters, so a torn release/acquire pair must be
+                         caught before it, or it is never seen. The
+                         families are NOT hardcoded: every
+                         `*Stats`-returning zero-arg accessor declared in
+                         src/ptg/context.h is discovered by pattern, so
+                         adding a new stats family to the Context
+                         automatically extends the reset obligation.
   wire-tag-exhaustiveness Every `switch` over a fabric message tag (the
                          WireTag enum in src/ptg/protocol.h, or its
                          Context::kTag* aliases) must either list a case
@@ -294,20 +294,25 @@ def lint_bulk_copies(rel, text, code, findings):
              "codec, which ships large buffers as shared segments"))
 
 
-RESET_FN_RE = re.compile(r"void\s+Context::reset_local_state\s*\([^)]*\)\s*\{")
+RESET_FN_RE = re.compile(
+    r"void\s+Context::reset_for_resubmission\s*\(\s*\)\s*\{")
+# The statement that discards the finished run's state: the replacement of
+# the Context's Submission.
+RESET_ANCHOR_RE = re.compile(
+    r"\bsub_\s*=\s*std::make_unique\s*<\s*Submission\s*>\s*\(")
 # Zero-arg accessor returning a stats aggregate, e.g.
 #   StealStats steal_stats() const;
-#   SchedStats scheduler_stats() const { return sched_->stats(); }
+#   SchedStats scheduler_stats() const;
 STATS_ACCESSOR_RE = re.compile(r"\b([A-Z]\w*Stats)\s+(\w+)\s*\(\s*\)\s*const")
 
 
 def reset_stats_families(header_path):
-    """Discover the stats families the reset body must certify: every
+    """Discover the stats families the reset must certify: every
     `*Stats`-returning zero-arg const accessor declared in context.h.
     Returns [(type, method), ...] deduplicated by type, declaration order.
-    Pattern-based on purpose (ISSUE 10): adding e.g. `ResendStats
-    resend_stats() const` to the Context extends the reset obligation
-    without touching this file."""
+    Pattern-based on purpose: adding e.g. `ResendStats resend_stats()
+    const` to the Context extends the reset obligation without touching
+    this file."""
     try:
         header = header_path.read_text(encoding="utf-8", errors="replace")
     except OSError:
@@ -322,22 +327,23 @@ def reset_stats_families(header_path):
 
 
 def lint_reset_stats(path, rel, text, code, findings):
-    """reset-stats-discipline: the persistent-Context reset body must read
-    (acquire) and validate() every stats counter family before it zeroes
-    (release) the first counter — see src/ptg/context.h's counter-pair
-    discipline. Anchored on Context::reset_local_state; if that function
-    disappears the rule reports, so a rename cannot silently retire it.
-    The family list is discovered from context.h (reset_stats_families),
-    and each family is matched by its snapshot TYPE, not the accessor
-    spelling, so `sched_->stats()` and `scheduler_stats()` both satisfy
-    the SchedStats obligation."""
+    """reset-stats-discipline: the persistent-Context reset must snapshot
+    (acquire) every stats counter family into a local and validate() it
+    before the statement that replaces the finished run's Submission —
+    see src/ptg/context.h's counter-pair discipline. Anchored on
+    Context::reset_for_resubmission and, inside it, on that replacement;
+    if either disappears the rule reports, so a rename cannot silently
+    retire it. The family list is discovered from context.h
+    (reset_stats_families), and each family is matched by its snapshot
+    TYPE, not the accessor spelling, so `sched.stats()` and
+    `scheduler_stats()` both satisfy the SchedStats obligation."""
     m = RESET_FN_RE.search(code)
     if not m:
         findings.append(
             (rel, 1, "reset-stats-discipline",
-             "Context::reset_local_state not found; the reset-path stats "
-             "discipline cannot be checked (update tools/lint.py if the "
-             "reset body moved)"))
+             "Context::reset_for_resubmission not found; the reset-path "
+             "stats discipline cannot be checked (update tools/lint.py if "
+             "the reset moved)"))
         return
     families = reset_stats_families(path.parent / "context.h")
     if not families:
@@ -349,30 +355,34 @@ def lint_reset_stats(path, rel, text, code, findings):
         return
     lo, hi = lambda_span(code, m.end() - 1)
     body = code[lo:hi]
-    first_zero = body.find(".store(0")
-    if first_zero < 0:
+    anchor = RESET_ANCHOR_RE.search(body)
+    if not anchor:
         findings.append(
             (rel, line_of(text, lo), "reset-stats-discipline",
-             "reset body zeroes no counters; the between-runs reset must "
-             "re-arm the atomic counters (or this rule needs updating)"))
+             "reset body never replaces the Submission (`sub_ = "
+             "std::make_unique<Submission>(...)`); the rule cannot anchor "
+             "(update tools/lint.py if the reset changed shape)"))
         return
+    before = body[:anchor.start()]
     for typ, method in families:
-        pos = body.find(typ)
-        if pos < 0 or pos > first_zero:
-            where = "missing" if pos < 0 else "after the first `.store(0`"
+        decl = re.search(r"\b" + typ + r"\s+(\w+)\s*=", before)
+        if not decl:
             findings.append(
-                (rel, line_of(text, lo + (pos if pos >= 0 else 0)),
+                (rel, line_of(text, lo + anchor.start()),
                  "reset-stats-discipline",
-                 f"`{typ}` snapshot (accessor `{method}()`) {where}: every "
-                 "counter family must be snapshotted (acquire) and "
-                 "validated before any counter is zeroed (release)"))
-    n_validate = body.count(".validate()", 0, first_zero)
-    if n_validate < len(families):
-        names = ", ".join(t for t, _ in families)
-        findings.append(
-            (rel, line_of(text, lo), "reset-stats-discipline",
-             f"only {n_validate} .validate() call(s) before the first "
-             f"`.store(0` (need {len(families)}: {names})"))
+                 f"no `{typ}` snapshot (accessor `{method}()`) before the "
+                 "Submission is replaced: every counter family must be "
+                 "snapshotted (acquire) and validated before its counters "
+                 "are discarded"))
+            continue
+        var = decl.group(1)
+        if not re.search(r"\b" + var + r"\s*\.\s*validate\s*\(\s*\)",
+                         before):
+            findings.append(
+                (rel, line_of(text, lo + decl.start()),
+                 "reset-stats-discipline",
+                 f"`{typ}` snapshot `{var}` is not validate()d before the "
+                 "Submission is replaced"))
 
 
 WIRE_ENUM_FILE = "src/ptg/protocol.h"
