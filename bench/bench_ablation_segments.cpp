@@ -2,7 +2,9 @@
 // evaluates the two extremes — height 1 (fully parallel GEMMs + reduction,
 // v2..v5) and the whole chain (v1) — and notes the height "can vary from
 // one to the height of the original chain". This harness sweeps the
-// intermediate heights the paper left unexplored.
+// intermediate heights the paper left unexplored. The height is a variant
+// field (VariantConfig::segment_height), so every height simulated here is
+// a graph the runtime also runs.
 #include <cstdio>
 #include <cstdlib>
 
@@ -30,11 +32,7 @@ int main(int argc, char** argv) {
   for (const int h : {1, 2, 4, 8, 16, 32, 0}) {  // 0 = whole chain
     GraphOptions gopts;
     gopts.variant = tce::VariantConfig::v5();
-    if (h == 0) {
-      gopts.variant.parallel_gemms = false;  // whole-chain (v1-style GEMMs)
-    } else {
-      gopts.segment_height = h;
-    }
+    gopts.variant.segment_height = h;
     gopts.nodes = nodes;
     const auto g = build_graph(p.plan, gopts);
 

@@ -1,5 +1,7 @@
 #include "analysis/graph_verify.h"
 
+#include <cstdlib>
+#include <cstring>
 #include <deque>
 
 namespace mp::analysis {
@@ -197,6 +199,11 @@ std::vector<Diag> verify_graph(const ptg::Taskpool& pool,
 
 std::vector<Diag> verify_graph(const ptg::Taskpool& pool, int nranks) {
   return verify_graph(pool, materialize_graph(pool, nranks));
+}
+
+bool env_verify_enabled() {
+  const char* e = std::getenv("MP_VERIFY");
+  return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
 }
 
 }  // namespace mp::analysis

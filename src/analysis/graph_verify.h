@@ -74,4 +74,8 @@ std::vector<Diag> verify_graph(const ptg::Taskpool& pool,
 /// Convenience: materialize + verify in one call.
 std::vector<Diag> verify_graph(const ptg::Taskpool& pool, int nranks);
 
+/// True when the MP_VERIFY environment variable asks for the pass before
+/// a graph runs (set, non-empty and not "0").
+bool env_verify_enabled();
+
 }  // namespace mp::analysis

@@ -1,5 +1,7 @@
 #include "analysis/tce_verify.h"
 
+#include <algorithm>
+
 #include "analysis/plan_verify.h"
 
 namespace mp::analysis {
@@ -52,18 +54,22 @@ std::vector<Diag> verify_tce_graph(const tce::ChainPlan& plan,
     const size_t len = ch.gemms.size();
     const size_t arms = ch.sorts.size();
 
-    // Reduction fan-in vs chain segmentation.
-    const size_t want_reduces =
-        (var.parallel_gemms && len > 1) ? len - 1 : 0;
+    // Reduction fan-in vs chain segmentation: segments of h GEMMs (the
+    // whole chain when h = 0), a DFILL heading each segment unless every
+    // GEMM owns its C (h = 1), and a reduction tree over the segments.
+    const auto h = static_cast<size_t>(var.segment_height);
+    const size_t height = h == 0 ? std::max<size_t>(len, 1) : h;
+    const size_t nsegs = (len + height - 1) / height;
+    const size_t want_reduces = nsegs > 1 ? nsegs - 1 : 0;
     if (cc.reduces != want_reduces) {
       diags.push_back({"MPT001",
                        "reduction tree has " + std::to_string(cc.reduces) +
                            " node(s) for " + std::to_string(len) +
-                           " GEMM leaves; chain segmentation requires " +
+                           " GEMMs; chain segmentation requires " +
                            std::to_string(want_reduces),
                        name});
     }
-    const size_t want_dfills = var.parallel_gemms ? 0 : 1;
+    const size_t want_dfills = h == 1 ? 0 : nsegs;
     if (cc.dfills != want_dfills || cc.gemms != len ||
         cc.reads_a != len || cc.reads_b != len) {
       diags.push_back({"MPT005",

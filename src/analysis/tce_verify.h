@@ -3,8 +3,8 @@
 // is well-formed; this pass proves it is the *right* DAG for the plan:
 //
 //   MPT001  reduce fan-in   — reduction-tree size differs from the chain's
-//                             segmentation (len GEMM leaves need len-1
-//                             REDUCE nodes; a serial chain needs none)
+//                             segmentation (s segments of h GEMMs need
+//                             s-1 REDUCE nodes; a serial chain needs none)
 //   MPT002  sort arms       — SORT task count differs from the chain's
 //                             fired guards under the variant's sort mode
 //   MPT003  write arms      — WRITE task count / fan-in inconsistent with

@@ -79,9 +79,16 @@ std::pair<int64_t, int64_t> GlobalArray::distribution(int rank) const {
   return {lo, hi};
 }
 
+int block_owner(int64_t idx, int64_t nelems, int nranks) {
+  MP_REQUIRE(idx >= 0 && idx < nelems && nranks >= 1,
+             "block_owner: bad index or rank count");
+  const int64_t chunk = (nelems + nranks - 1) / nranks;
+  return static_cast<int>(std::min<int64_t>(idx / chunk, nranks - 1));
+}
+
 int GlobalArray::owner_of(int64_t idx) const {
   MP_REQUIRE(idx >= 0 && idx < nelems_, "GlobalArray: bad index");
-  return static_cast<int>(std::min<int64_t>(idx / chunk_, nranks() - 1));
+  return block_owner(idx, nelems_, nranks());
 }
 
 std::span<double> GlobalArray::access(int rank) {

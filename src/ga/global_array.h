@@ -23,6 +23,13 @@
 
 namespace mp::ga {
 
+/// Owner rank of element `idx` of an array of `nelems` elements in GA's
+/// block distribution over `nranks` ranks: contiguous chunks of
+/// ceil(nelems / nranks) elements. GlobalArray::owner_of, the PTG builder
+/// and the simulators all place by this one formula, so a graph can be
+/// placed from array sizes alone.
+int block_owner(int64_t idx, int64_t nelems, int nranks);
+
 class GlobalArray {
  public:
   /// Create an array of `nelems` doubles distributed over the cluster's

@@ -212,6 +212,11 @@ class Context {
   /// larger one ships as a shared segment. A constant, not an option.
   static constexpr size_t kEagerLimit = 8;
 
+  /// Most tasks one STEAL_REPLY migrates (the victim also never gives away
+  /// more than half of its ready queue). The simulator's steal agent uses
+  /// the same cap. A constant, not an option.
+  static constexpr size_t kStealMaxBatch = 16;
+
   Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts = {});
   /// Wakes the parked comm and worker threads for shutdown and joins them
   /// (no threads exist if run() was never called).
@@ -232,7 +237,8 @@ class Context {
   /// environment variable is set (to anything but "0"), rank 0 runs
   /// validate_plan() on the first call (the graph and cluster size cannot
   /// change) and a malformed graph unwinds the whole job with a StateError
-  /// carrying the diagnostics; Options::assume_verified skips the pass.
+  /// carrying the diagnostics — that run and every later one, before any
+  /// task runs; Options::assume_verified skips the pass.
   void run();
 
   /// Per-submission state observed by the most recent between-runs reset,
@@ -439,6 +445,9 @@ class Context {
   std::atomic<uint64_t> runs_completed_{0};
   /// MP_VERIFY ran for this Context (once: its pool and cluster are fixed).
   bool verified_once_ = false;
+  /// The failed pass's StateError message, raised again by every later run
+  /// (empty while the graph verified clean or was never checked).
+  std::string verify_failure_;
   /// submit_mu_ guards the park/wake handshake: epoch, park counts and the
   /// shutdown flag. One CV serves arming (run -> threads) and parking
   /// (threads -> run) — contention is nil, transitions are rare.

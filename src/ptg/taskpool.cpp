@@ -83,8 +83,6 @@ void Taskpool::validate() const {
                "Taskpool: class '" + c.name + "' missing num_task_inputs");
     MP_REQUIRE(static_cast<bool>(c.enumerate_rank),
                "Taskpool: class '" + c.name + "' missing enumerate_rank");
-    MP_REQUIRE(static_cast<bool>(c.body),
-               "Taskpool: class '" + c.name + "' missing body");
   }
 }
 

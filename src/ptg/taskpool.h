@@ -94,7 +94,9 @@ struct TaskClass {
   /// tasks. Required.
   std::function<std::vector<Params>(int rank)> enumerate_rank;
 
-  /// The task body. Required.
+  /// The task body. Required to run: a Context refuses a class without
+  /// one. A pool without bodies still describes its graph, which the
+  /// verifier and the simulator materialize.
   std::function<void(TaskCtx&)> body;
 
   /// Whether ready instances may be migrated to another rank by the
@@ -143,7 +145,8 @@ class Taskpool {
   /// Find a class id by name; -1 if absent.
   int16_t find(const std::string& name) const;
 
-  /// Validate that every registered class has its required functions.
+  /// Validate that every registered class has the functions that describe
+  /// its instances (name, rank_of, num_task_inputs, enumerate_rank).
   /// Throws InvalidArgument describing the first problem found.
   void validate() const;
 

@@ -2,6 +2,7 @@
 
 #include <queue>
 
+#include "ga/global_array.h"
 #include "support/error.h"
 
 namespace mp::sim {
@@ -141,9 +142,9 @@ OriginalSimResult simulate_original(const tce::ChainPlan& plan,
       // GET A, GET B (blocking, back to back), then the GEMM.
       const tce::GemmOp& g = chain.gemms[static_cast<size_t>(pr.gemm_idx)];
       const int owner_a =
-          block_owner(g.a_offset, plan.store_size(chain.a_store), P);
+          ga::block_owner(g.a_offset, plan.store_size(chain.a_store), P);
       const int owner_b =
-          block_owner(g.b_offset, plan.store_size(chain.b_store), P);
+          ga::block_owner(g.b_offset, plan.store_size(chain.b_store), P);
       const double ta = blocking_get(pr.node, owner_a, 8.0 * g.m * g.k, t);
       const double tb =
           blocking_get(pr.node, owner_b, 8.0 * g.n * g.k, ta);
@@ -172,7 +173,7 @@ OriginalSimResult simulate_original(const tce::ChainPlan& plan,
     trace_add(pr, kSort, pr.sort_idx, t, ts, false);
 
     const int owner_c =
-        block_owner(chain.c_offset, plan.store_size(chain.r_store), P);
+        ga::block_owner(chain.c_offset, plan.store_size(chain.r_store), P);
     double tw;
     if (owner_c == pr.node) {
       tw = acc_server[static_cast<size_t>(owner_c)].serve(

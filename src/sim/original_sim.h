@@ -11,7 +11,6 @@
 
 #include "ptg/trace.h"
 #include "sim/cost_model.h"
-#include "sim/task_graph.h"
 #include "tce/chain_plan.h"
 
 namespace mp::sim {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "ptg/context.h"
 #include "support/error.h"
 
 namespace mp::sim {
@@ -17,6 +18,9 @@ std::vector<char> sim_class_glyphs() {
 }
 
 namespace {
+
+/// Re-arm delay after an empty-handed steal attempt.
+constexpr double kStealBackoffS = 200e-6;
 
 /// A single-server FCFS resource tracked by its next free time.
 struct Fcfs {
@@ -351,8 +355,8 @@ SimResult simulate_ptg(const SimGraph& graph, const SimOptions& opts) {
           all.push_back(victim.ready.top());
           victim.ready.pop();
         }
-        const size_t want = std::min(
-            all.size() / 2, static_cast<size_t>(opts.steal_max_batch));
+        const size_t want =
+            std::min(all.size() / 2, ptg::Context::kStealMaxBatch);
         std::vector<int32_t> batch;
         double bytes = 0.0;
         for (auto it = all.rbegin(); it != all.rend(); ++it) {
@@ -391,7 +395,7 @@ SimResult simulate_ptg(const SimGraph& graph, const SimOptions& opts) {
         NodeState& tn = nodes[static_cast<size_t>(thief)];
         tn.steal_inflight = false;
         if (ev.task < 0) {
-          tn.next_steal_at = now + opts.steal_backoff_s;
+          tn.next_steal_at = now + kStealBackoffS;
           break;
         }
         const double t_in = tn.nic_in.serve(now, cm.wire_time(ev.bytes));

@@ -1,8 +1,8 @@
 // Discrete-event simulation of a PTG-variant execution on a cluster of
 // `nodes` x `cores_per_node` (plus a comm thread and NIC per node).
 //
-// The simulator executes exactly the task graph build_graph() derives from
-// the inspected ChainPlan: per-node priority scheduling of ready tasks,
+// The simulator executes exactly the task graph build_graph() materializes
+// from tce::build_ptg: per-node priority scheduling of ready tasks,
 // FCFS NIC injection/ejection queues with latency and bandwidth, a per-node
 // comm thread with per-message overhead, and the node-level WRITE mutex.
 // It produces the same Trace records as the real runtime, so the paper's
@@ -30,10 +30,9 @@ struct SimOptions {
   /// message, migrated inputs pay wire time, WRITE (mutex-bound) tasks
   /// never move. Deterministic: victim selection is argmax ready-count
   /// with lowest-index tie-break.
+  /// The batch cap is the runtime's (ptg::Context::kStealMaxBatch); an
+  /// empty-handed thief re-arms after a fixed 200 us backoff.
   bool enable_stealing = false;
-  int steal_max_batch = 16;
-  /// Re-arm delay after an empty-handed steal attempt.
-  double steal_backoff_s = 200e-6;
   /// Fail-stop death injection (DESIGN.md §10): node `fail_node` goes
   /// silent at `fail_time_s` — running tasks are lost, queued work is
   /// dropped, in-flight messages it already sent still arrive. Survivors

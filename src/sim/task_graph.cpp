@@ -1,8 +1,8 @@
 #include "sim/task_graph.h"
 
-#include <algorithm>
-
+#include "analysis/graph_verify.h"
 #include "support/error.h"
+#include "tce/ptg_build.h"
 
 namespace mp::sim {
 
@@ -25,190 +25,86 @@ size_t SimGraph::num_edges() const {
   return n;
 }
 
-int block_owner(int64_t offset, int64_t total, int nodes) {
-  MP_DCHECK(total > 0 && nodes > 0, "block_owner: bad arguments");
-  const int64_t chunk = (total + nodes - 1) / nodes;
-  return static_cast<int>(std::min<int64_t>(offset / chunk, nodes - 1));
-}
-
 SimGraph build_graph(const tce::ChainPlan& plan, const GraphOptions& opts) {
-  opts.variant.validate();
   MP_REQUIRE(opts.nodes >= 1, "build_graph: need >= 1 node");
   const tce::VariantConfig& var = opts.variant;
-  const int P = opts.nodes;
-  const int max_l1 = static_cast<int>(plan.chains.size());
+  const tce::PtgBuild b = tce::build_ptg(plan, var, opts.nodes);
+  analysis::GraphModel m = analysis::materialize_graph(b.pool, opts.nodes);
+  const auto diags = analysis::verify_graph(b.pool, m);
+  MP_REQUIRE(diags.empty(),
+             "build_graph: task graph failed static verification; " +
+                 analysis::render(diags));
 
+  const tce::PtgClassIds& ids = b.ids;
+  const tce::PriorityScheme scheme{static_cast<int>(plan.chains.size()),
+                                   opts.nodes};
   SimGraph g;
-  g.nodes = P;
+  g.nodes = opts.nodes;
+  g.tasks.resize(m.tasks.size());
+  for (size_t i = 0; i < m.tasks.size(); ++i) {
+    analysis::GraphTask& mt = m.tasks[i];
+    SimTask& t = g.tasks[i];
+    t.id = static_cast<int32_t>(i);
+    t.node = mt.owner;
+    t.l1 = mt.key.p[0];
+    t.l2 = mt.key.p[1];
+    t.ndeps = mt.num_inputs;
+    t.succs = std::move(mt.succ);
 
-  auto prio = [&](int l1, int offset) {
-    if (!var.priorities) return 0.0;
-    return static_cast<double>(max_l1 - l1 + offset * P);
-  };
-
-  auto add_task = [&](SimTaskKind kind, int node, int l1, int l2,
-                      double priority, int ndeps) -> int32_t {
-    SimTask t;
-    t.id = static_cast<int32_t>(g.tasks.size());
-    t.kind = kind;
-    t.node = node;
-    t.l1 = l1;
-    t.l2 = l2;
-    t.priority = priority;
-    t.ndeps = ndeps;
-    g.tasks.push_back(std::move(t));
-    return g.tasks.back().id;
-  };
-  auto link = [&](int32_t from, int32_t to) {
-    g.tasks[static_cast<size_t>(from)].succs.push_back(to);
-  };
-
-  for (const tce::Chain& ch : plan.chains) {
-    const int l1 = ch.id;
-    const int home = l1 % P;
-    const int len = static_cast<int>(ch.gemms.size());
+    const tce::Chain& ch = plan.chains[static_cast<size_t>(t.l1)];
     const double c_bytes = 8.0 * static_cast<double>(ch.c_elems());
-
-    int seg_h = opts.segment_height;
-    if (seg_h <= 0) seg_h = var.parallel_gemms ? 1 : len;
-    seg_h = std::max(1, std::min(seg_h, len));
-    const int nsegs = (len + seg_h - 1) / seg_h;
-
-    // --- GEMMs (and their readers), chained within segments ---
-    std::vector<int32_t> seg_tail(static_cast<size_t>(nsegs), -1);
-    int32_t prev_in_seg = -1;
-    for (int i = 0; i < len; ++i) {
-      const tce::GemmOp& go = ch.gemms[static_cast<size_t>(i)];
-      const int seg = i / seg_h;
-      const bool head = (i % seg_h == 0);
-
-      // Carried C flow adds one dependency inside a segment; segment heads
-      // either receive a DFILL (multi-GEMM segments) or own a private C.
-      const bool has_dfill = head && seg_h > 1 && len > 1;
-      const int ndeps = 2 + ((has_dfill || !head) ? 1 : 0);
-      const int32_t gemm = add_task(SimTaskKind::kGemm, home, l1, i,
-                                    prio(l1, opts.gemm_offset), ndeps);
-      g.tasks[static_cast<size_t>(gemm)].flops = 2.0 * go.m * go.n * go.k;
+    const int16_t cls = mt.key.cls;
+    int offset = 0;
+    if (cls == ids.read_a || cls == ids.read_b) {
+      const tce::GemmOp& go = ch.gemms[static_cast<size_t>(t.l2)];
+      const bool a = cls == ids.read_a;
+      t.kind = a ? SimTaskKind::kReadA : SimTaskKind::kReadB;
+      // A READ hands out a view of its block: no local memory traffic. A
+      // consumer on another node receives the block.
+      t.out_bytes = 8.0 * (a ? go.m : go.n) * go.k;
+      offset = opts.reader_offset;
+    } else if (cls == ids.gemm) {
+      const tce::GemmOp& go = ch.gemms[static_cast<size_t>(t.l2)];
+      t.kind = SimTaskKind::kGemm;
+      t.flops = 2.0 * go.m * go.n * go.k;
       // Working-set traffic of the kernel (A + B streamed, C read+written).
-      g.tasks[static_cast<size_t>(gemm)].bytes =
-          8.0 * (static_cast<double>(go.m) * go.k +
-                 static_cast<double>(go.k) * go.n +
-                 2.0 * static_cast<double>(go.m) * go.n);
-      g.tasks[static_cast<size_t>(gemm)].out_bytes = c_bytes;
-
-      const int owner_a =
-          block_owner(go.a_offset, plan.store_size(ch.a_store), P);
-      const int32_t ra = add_task(SimTaskKind::kReadA, owner_a, l1, i,
-                                  prio(l1, opts.reader_offset), 0);
-      g.tasks[static_cast<size_t>(ra)].bytes = 8.0 * go.m * go.k;
-      g.tasks[static_cast<size_t>(ra)].out_bytes = 8.0 * go.m * go.k;
-      link(ra, gemm);
-
-      const int owner_b =
-          block_owner(go.b_offset, plan.store_size(ch.b_store), P);
-      const int32_t rb = add_task(SimTaskKind::kReadB, owner_b, l1, i,
-                                  prio(l1, opts.reader_offset), 0);
-      g.tasks[static_cast<size_t>(rb)].bytes = 8.0 * go.n * go.k;
-      g.tasks[static_cast<size_t>(rb)].out_bytes = 8.0 * go.n * go.k;
-      link(rb, gemm);
-
-      if (has_dfill) {
-        const int32_t df = add_task(SimTaskKind::kDfill, home, l1, seg,
-                                    prio(l1, 0), 0);
-        g.tasks[static_cast<size_t>(df)].bytes = c_bytes;
-        g.tasks[static_cast<size_t>(df)].out_bytes = c_bytes;
-        link(df, gemm);
-      } else if (!head) {
-        link(prev_in_seg, gemm);
-      }
-      prev_in_seg = gemm;
-      if (i % seg_h == seg_h - 1 || i == len - 1) {
-        seg_tail[static_cast<size_t>(seg)] = gemm;
-      }
-    }
-
-    // --- reduction tree over segment results ---
-    int32_t root;
-    if (nsegs == 1) {
-      root = seg_tail[0];
+      t.bytes = 8.0 * (static_cast<double>(go.m) * go.k +
+                       static_cast<double>(go.k) * go.n +
+                       2.0 * static_cast<double>(go.m) * go.n);
+      t.out_bytes = c_bytes;
+      offset = opts.gemm_offset;
+    } else if (cls == ids.dfill) {
+      t.kind = SimTaskKind::kDfill;
+      t.bytes = c_bytes;
+      t.out_bytes = c_bytes;
+    } else if (cls == ids.reduce) {
+      t.kind = SimTaskKind::kReduce;
+      t.bytes = 2.0 * c_bytes;
+      t.out_bytes = c_bytes;
+    } else if (cls == ids.sort) {
+      t.kind = SimTaskKind::kSort;
+      // A serial SORT reads C once and writes every guarded permutation
+      // into one master buffer.
+      t.bytes = var.parallel_sorts
+                    ? 2.0 * c_bytes
+                    : c_bytes * (1.0 + static_cast<double>(ch.sorts.size()));
+      t.out_bytes = c_bytes;
     } else {
-      // Heap layout: internal nodes 0..nsegs-2, leaf i at nsegs-1+i.
-      std::vector<int32_t> reduce_ids(static_cast<size_t>(nsegs - 1));
-      for (int node = 0; node < nsegs - 1; ++node) {
-        const int32_t rid =
-            add_task(SimTaskKind::kReduce, home, l1, node, prio(l1, 0), 2);
-        g.tasks[static_cast<size_t>(rid)].bytes = 2.0 * c_bytes;
-        g.tasks[static_cast<size_t>(rid)].out_bytes = c_bytes;
-        reduce_ids[static_cast<size_t>(node)] = rid;
-      }
-      for (int node = 1; node < nsegs - 1; ++node) {
-        link(reduce_ids[static_cast<size_t>(node)],
-             reduce_ids[static_cast<size_t>((node - 1) / 2)]);
-      }
-      for (int leaf = 0; leaf < nsegs; ++leaf) {
-        const int pos = nsegs - 1 + leaf;
-        link(seg_tail[static_cast<size_t>(leaf)],
-             reduce_ids[static_cast<size_t>((pos - 1) / 2)]);
-      }
-      root = reduce_ids[0];
+      MP_DCHECK(cls == ids.write, "build_graph: unknown task class");
+      t.kind = SimTaskKind::kWrite;
+      // Every input is accumulated into the GA inside the node mutex.
+      t.bytes = 2.0 * c_bytes * t.ndeps;
+      t.needs_mutex = true;
     }
 
-    // --- sort stage ---
-    const int nsorts = static_cast<int>(ch.sorts.size());
-    const int write_node =
-        block_owner(ch.c_offset, plan.store_size(ch.r_store), P);
-    if (var.parallel_sorts) {
-      for (int i = 0; i < nsorts; ++i) {
-        const int32_t so =
-            add_task(SimTaskKind::kSort, home, l1, i, prio(l1, 0), 1);
-        g.tasks[static_cast<size_t>(so)].bytes = 2.0 * c_bytes;
-        g.tasks[static_cast<size_t>(so)].out_bytes = c_bytes;
-        link(root, so);
-        if (var.parallel_writes) {
-          const int32_t wr = add_task(SimTaskKind::kWrite, write_node, l1, i,
-                                      prio(l1, 0), 1);
-          g.tasks[static_cast<size_t>(wr)].bytes = 2.0 * c_bytes;
-          g.tasks[static_cast<size_t>(wr)].needs_mutex = true;
-          link(so, wr);
-        }
-      }
-      if (!var.parallel_writes) {
-        const int32_t wr = add_task(SimTaskKind::kWrite, write_node, l1, 0,
-                                    prio(l1, 0), nsorts);
-        g.tasks[static_cast<size_t>(wr)].bytes = 2.0 * c_bytes * nsorts;
-        g.tasks[static_cast<size_t>(wr)].needs_mutex = true;
-        // link all sorts (the nsorts most recent sort tasks) to wr
-        for (int i = 0; i < nsorts; ++i) {
-          const int32_t so = wr - 1 - i;
-          MP_DCHECK(g.tasks[static_cast<size_t>(so)].kind == SimTaskKind::kSort,
-                    "sort/write wiring mismatch");
-          link(so, wr);
-        }
-      }
+    if (var.priorities) {
+      t.priority = scheme.value(t.l1, offset);
     } else {
-      // Serial SORT: all guarded permutations in one task (reads C once,
-      // writes nsorts permuted copies into the master buffer).
-      const int32_t so = add_task(SimTaskKind::kSort, home, l1, 0,
-                                  prio(l1, 0), 1);
-      g.tasks[static_cast<size_t>(so)].bytes =
-          c_bytes * (1.0 + static_cast<double>(nsorts));
-      g.tasks[static_cast<size_t>(so)].out_bytes = c_bytes;
-      link(root, so);
-      const int32_t wr = add_task(SimTaskKind::kWrite, write_node, l1, 0,
-                                  prio(l1, 0), 1);
-      g.tasks[static_cast<size_t>(wr)].bytes = 2.0 * c_bytes;
-      g.tasks[static_cast<size_t>(wr)].needs_mutex = true;
-      link(so, wr);
-    }
-  }
-
-  // Without priorities PaRSEC's multi-queue scheduler executes ready tasks
-  // in an effectively arbitrary order (per-thread queues + stealing), not
-  // in submission order. Model that with a deterministic pseudo-random
-  // order so the v2 behaviour (Fig. 11's startup flood) emerges instead of
-  // an accidentally-optimal FIFO.
-  if (!var.priorities) {
-    for (auto& t : g.tasks) {
+      // Without priorities PaRSEC's multi-queue scheduler executes ready
+      // tasks in an effectively arbitrary order (per-thread queues +
+      // stealing), not in submission order. Model that with a
+      // deterministic pseudo-random order so the v2 behaviour (Fig. 11's
+      // startup flood) emerges instead of an accidentally-optimal FIFO.
       uint64_t x = static_cast<uint64_t>(t.id) + 0x9e3779b97f4a7c15ULL;
       x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
       x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -216,7 +112,6 @@ SimGraph build_graph(const tce::ChainPlan& plan, const GraphOptions& opts) {
       t.priority = static_cast<double>(x >> 11) * 0x1.0p-53;
     }
   }
-
   return g;
 }
 

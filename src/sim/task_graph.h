@@ -1,10 +1,9 @@
-// Builds the simulated task graph for a ChainPlan under a variant
-// configuration — the same graph shapes the real PTG executor constructs
-// (READ/DFILL/GEMM/REDUCE/SORT/WRITE with the paper's dataflow), plus a
-// generalized chain-segmentation knob for the ablation study: segments of
-// height h execute serially inside, segments in parallel with a reduction
-// tree over segment results (h=1 is the paper's fully-parallel extreme,
-// h=len the serial-chain v1 extreme).
+// The simulated task graph of a ChainPlan under a variant: the graph
+// tce::build_ptg describes (READ/DFILL/GEMM/REDUCE/SORT/WRITE with the
+// paper's dataflow and any chain segment height, see
+// VariantConfig::segment_height), materialized by the verifier's evaluator
+// (analysis::materialize_graph) and priced per task. The simulator therefore
+// runs exactly the tasks, placement and edges the runtime would run.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +45,10 @@ struct SimTask {
 struct GraphOptions {
   tce::VariantConfig variant = tce::VariantConfig::v5();
   int nodes = 32;
-  /// Chain segmentation height; 0 = follow variant.parallel_gemms
-  /// (1 when parallel, whole chain when serial).
-  int segment_height = 0;
-  /// Priority offsets of the paper's formula (readers +5, GEMM +1).
-  int reader_offset = 5;
-  int gemm_offset = 1;
+  /// Priority offsets of the paper's formula (readers +5, GEMM +1). The
+  /// defaults are the runtime's; only the priority ablation changes them.
+  int reader_offset = tce::PriorityScheme::kReaderOffset;
+  int gemm_offset = tce::PriorityScheme::kGemmOffset;
 };
 
 struct SimGraph {
@@ -60,10 +57,10 @@ struct SimGraph {
   size_t num_edges() const;
 };
 
-/// Owner of GA element `offset` in an array of `total` elements block-
-/// distributed over `nodes` ranks — same formula as ga::GlobalArray.
-int block_owner(int64_t offset, int64_t total, int nodes);
-
+/// Materializes tce::build_ptg's graph of `plan` on opts.nodes nodes, in
+/// the verifier's order (SimTask::id is the task's index there), and prices
+/// every task. Throws InvalidArgument when the graph fails static
+/// verification.
 SimGraph build_graph(const tce::ChainPlan& plan, const GraphOptions& opts);
 
 }  // namespace mp::sim

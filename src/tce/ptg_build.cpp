@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 
+#include "ga/global_array.h"
 #include "ga/hash_block.h"
 #include "linalg/gemm.h"
 #include "ptg/context.h"
@@ -34,6 +35,21 @@ struct ReduceTree {
   int leaf_pos(int leaf) const { return len - 1 + leaf; }
 };
 
+/// A chain's segments under VariantConfig::segment_height h: runs of
+/// `height` consecutive GEMMs (the whole chain when h = 0). C flows from
+/// GEMM to GEMM inside a segment; the segments' results meet in a
+/// ReduceTree.
+struct Segments {
+  int len, height;
+  Segments(const Chain& ch, int h)
+      : len(static_cast<int>(ch.gemms.size())),
+        height(h == 0 ? std::max(len, 1) : h) {}
+  int count() const { return (len + height - 1) / height; }
+  bool ends_at(int l2) const {
+    return (l2 + 1) % height == 0 || l2 == len - 1;
+  }
+};
+
 }  // namespace
 
 void require_result_not_operand(const ChainPlan& plan,
@@ -57,23 +73,26 @@ void require_result_not_operand(const ChainPlan& plan,
   }
 }
 
-PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
-                   const VariantConfig& var, int nranks) {
+namespace {
+
+/// build_ptg with or without stores (st == nullptr: no bodies).
+PtgBuild build(const ChainPlan& plan, const StoreList* st,
+               const VariantConfig& var, int nranks) {
   var.validate();
   MP_REQUIRE(nranks >= 1, "build_ptg: need at least one rank");
-  MP_REQUIRE(stores.size() >= plan.store_sizes.size(),
-             "build_ptg: missing tensor stores");
-  for (const TensorStore& ts : stores) {
-    MP_REQUIRE(ts.shape && ts.ga, "build_ptg: null storage");
-  }
-  require_result_not_operand(plan, stores);
 
   const int nchains = static_cast<int>(plan.chains.size());
   const PriorityScheme prio{nchains, nranks};
+  const int h = var.segment_height;
 
   const ChainPlan* pl = &plan;
-  const StoreList* st = &stores;
   auto home = [nranks](int l1) { return l1 % nranks; };
+  // Operand and result blocks are placed on the rank that owns them in
+  // GA's block distribution, computed from the plan's array sizes, so the
+  // graph is placed the same with or without Global Arrays.
+  auto owner = [pl, nranks](int8_t store, int64_t offset) {
+    return ga::block_owner(offset, pl->store_size(store), nranks);
+  };
 
   // Node-level mutexes protecting the WRITE critical region (Section IV-A):
   // one per rank, shared by every WRITE task executing on that rank. The
@@ -93,24 +112,22 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
   auto make_reader = [&](const char* name, bool is_a) {
     TaskClass c;
     c.name = name;
-    c.rank_of = [pl, st, is_a](const Params& p) {
+    c.rank_of = [pl, owner, is_a](const Params& p) {
       const Chain& ch = pl->chains[static_cast<size_t>(p[0])];
       const GemmOp& g = ch.gemms[static_cast<size_t>(p[1])];
-      const TensorStore& ts =
-          (*st)[static_cast<size_t>(is_a ? ch.a_store : ch.b_store)];
-      return ts.ga->owner_of(is_a ? g.a_offset : g.b_offset);
+      return is_a ? owner(ch.a_store, g.a_offset)
+                  : owner(ch.b_store, g.b_offset);
     };
     c.num_task_inputs = [](const Params&) { return 0; };
     c.num_outputs = one_output;
     c.priority = [prio](const Params& p) { return prio.reader(p[0]); };
-    c.enumerate_rank = [pl, st, is_a](int rank) {
+    c.enumerate_rank = [pl, owner, is_a](int rank) {
       std::vector<Params> out;
       for (const Chain& ch : pl->chains) {
-        const TensorStore& ts =
-            (*st)[static_cast<size_t>(is_a ? ch.a_store : ch.b_store)];
         for (const GemmOp& g : ch.gemms) {
-          const int owner = ts.ga->owner_of(is_a ? g.a_offset : g.b_offset);
-          if (owner == rank) out.push_back(params_of(ch.id, g.l2));
+          const int r = is_a ? owner(ch.a_store, g.a_offset)
+                             : owner(ch.b_store, g.b_offset);
+          if (r == rank) out.push_back(params_of(ch.id, g.l2));
         }
       }
       return out;
@@ -137,18 +154,21 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
   b.ids.read_a = pool.add_class(make_reader("READ_A", true));
   b.ids.read_b = pool.add_class(make_reader("READ_B", false));
 
-  // ---- DFILL (serial-chain variant only) --------------------------------
-  if (!var.parallel_gemms) {
+  // ---- DFILL (one per segment head when segments are chained) ----------
+  if (h != 1) {
     TaskClass c;
     c.name = "DFILL";
     c.rank_of = [home](const Params& p) { return home(p[0]); };
     c.num_task_inputs = [](const Params&) { return 0; };
     c.num_outputs = one_output;
     c.priority = [prio](const Params& p) { return prio.other(p[0]); };
-    c.enumerate_rank = [pl, home](int rank) {
+    c.enumerate_rank = [pl, home, h](int rank) {
       std::vector<Params> out;
       for (const Chain& ch : pl->chains) {
-        if (home(ch.id) == rank) out.push_back(params_of(ch.id));
+        if (home(ch.id) != rank) continue;
+        for (int s = 0; s < Segments(ch, h).count(); ++s) {
+          out.push_back(params_of(ch.id, s));
+        }
       }
       return out;
     };
@@ -164,8 +184,9 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
     TaskClass c;
     c.name = "GEMM";
     c.rank_of = [home](const Params& p) { return home(p[0]); };
-    c.num_task_inputs = [parallel = var.parallel_gemms](const Params&) {
-      return parallel ? 2 : 3;  // A, B [, C carried along chain]
+    const bool chained = h != 1;
+    c.num_task_inputs = [chained](const Params&) {
+      return chained ? 3 : 2;  // A, B [, C carried along the segment]
     };
     c.num_outputs = one_output;
     c.priority = [prio](const Params& p) { return prio.gemm(p[0]); };
@@ -177,15 +198,14 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
       }
       return out;
     };
-    const bool parallel = var.parallel_gemms;
-    c.body = [pl, parallel](TaskCtx& t) {
+    c.body = [pl, chained](TaskCtx& t) {
       const Chain& ch = pl->chains[static_cast<size_t>(t.params()[0])];
       const GemmOp& g = ch.gemms[static_cast<size_t>(t.params()[1])];
       const DataBuf& a = t.input(0);
       const DataBuf& b = t.input(1);
-      DataBuf cbuf = parallel
-                         ? ptg::make_buf_pooled(static_cast<size_t>(ch.c_elems()))
-                         : t.take_input(2);
+      DataBuf cbuf = chained ? t.take_input(2)
+                             : ptg::make_buf_pooled(
+                                   static_cast<size_t>(ch.c_elems()));
       linalg::dgemm(g.transa, g.transb, static_cast<size_t>(g.m),
                     static_cast<size_t>(g.n), static_cast<size_t>(g.k),
                     g.alpha, a->data(), static_cast<size_t>(g.lda()),
@@ -197,20 +217,20 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
   }
   const int16_t gemm_id = b.ids.gemm;
 
-  // ---- REDUCE (parallel-GEMM variants) -----------------------------------
-  if (var.parallel_gemms) {
+  // ---- REDUCE (over the segments' results) ------------------------------
+  if (h != 0) {
     TaskClass c;
     c.name = "REDUCE";
     c.rank_of = [home](const Params& p) { return home(p[0]); };
     c.num_task_inputs = [](const Params&) { return 2; };
     c.num_outputs = one_output;
     c.priority = [prio](const Params& p) { return prio.other(p[0]); };
-    c.enumerate_rank = [pl, home](int rank) {
+    c.enumerate_rank = [pl, home, h](int rank) {
       std::vector<Params> out;
       for (const Chain& ch : pl->chains) {
         if (home(ch.id) != rank) continue;
-        const int len = static_cast<int>(ch.gemms.size());
-        for (int node = 0; node < len - 1; ++node) {
+        const int nsegs = Segments(ch, h).count();
+        for (int node = 0; node < nsegs - 1; ++node) {
           out.push_back(params_of(ch.id, node));
         }
       }
@@ -281,10 +301,9 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
     // the steal agent must not ship to another node.
     c.migratable = false;
     // Placed on the rank that owns the target block in the GA (Fig. 8).
-    c.rank_of = [pl, st](const Params& p) {
+    c.rank_of = [pl, owner](const Params& p) {
       const Chain& ch = pl->chains[static_cast<size_t>(p[0])];
-      return (*st)[static_cast<size_t>(ch.r_store)].ga->owner_of(
-          ch.c_offset);
+      return owner(ch.r_store, ch.c_offset);
     };
     const bool pwrites = var.parallel_writes;
     const bool psorts = var.parallel_sorts;
@@ -295,11 +314,10 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
     };
     c.num_outputs = [](const Params&) { return 0; };  // sink
     c.priority = [prio](const Params& p) { return prio.other(p[0]); };
-    c.enumerate_rank = [pl, st, pwrites](int rank) {
+    c.enumerate_rank = [pl, owner, pwrites](int rank) {
       std::vector<Params> out;
       for (const Chain& ch : pl->chains) {
-        const TensorStore& ts = (*st)[static_cast<size_t>(ch.r_store)];
-        if (ts.ga->owner_of(ch.c_offset) != rank) continue;
+        if (owner(ch.r_store, ch.c_offset) != rank) continue;
         if (pwrites) {
           for (size_t i = 0; i < ch.sorts.size(); ++i) {
             out.push_back(params_of(ch.id, static_cast<int32_t>(i)));
@@ -358,9 +376,8 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
   const int16_t write_id = b.ids.write;
 
   // ---- dataflow wiring ----------------------------------------------------
-  // Route the chain result (from the last GEMM of a serial chain, the
-  // reduction root, or the single GEMM of a length-1 chain) into the sort
-  // stage.
+  // Route the chain result (from the last GEMM of a one-segment chain or
+  // the reduction root) into the sort stage.
   auto route_to_sorts = [pl, sort_id, psorts = var.parallel_sorts](
                             int l1, std::vector<OutRoute>& r) {
     const Chain& ch = pl->chains[static_cast<size_t>(l1)];
@@ -385,45 +402,41 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
 
   if (b.ids.dfill >= 0) {
     pool.mutable_cls(b.ids.dfill).route_outputs =
-        [gemm_id](const Params& p, std::vector<OutRoute>& r) {
-          r.push_back({TaskKey{gemm_id, params_of(p[0], 0)}, 2, 0});
+        [pl, gemm_id, h](const Params& p, std::vector<OutRoute>& r) {
+          const Segments seg(pl->chains[static_cast<size_t>(p[0])], h);
+          r.push_back(
+              {TaskKey{gemm_id, params_of(p[0], p[1] * seg.height)}, 2, 0});
         };
   }
 
   pool.mutable_cls(gemm_id).route_outputs =
-      [pl, gemm_id, reduce_id, route_to_sorts,
-       parallel = var.parallel_gemms](const Params& p,
-                                      std::vector<OutRoute>& r) {
-        const Chain& ch = pl->chains[static_cast<size_t>(p[0])];
-        const int len = static_cast<int>(ch.gemms.size());
-        if (!parallel) {
-          // Serial chain: C flows to the next GEMM, the last one feeds the
-          // sort stage (the dataflow of Fig. 1).
-          if (p[1] < len - 1) {
-            r.push_back({TaskKey{gemm_id, params_of(p[0], p[1] + 1)}, 2, 0});
-          } else {
-            route_to_sorts(p[0], r);
-          }
+      [pl, gemm_id, reduce_id, route_to_sorts, h](const Params& p,
+                                                  std::vector<OutRoute>& r) {
+        const Segments seg(pl->chains[static_cast<size_t>(p[0])], h);
+        if (!seg.ends_at(p[1])) {
+          // Inside a segment C flows to the next GEMM (the serial chain of
+          // Fig. 1).
+          r.push_back({TaskKey{gemm_id, params_of(p[0], p[1] + 1)}, 2, 0});
           return;
         }
-        if (len == 1) {
+        if (seg.count() == 1) {
           route_to_sorts(p[0], r);
           return;
         }
-        // Parallel GEMMs: partial C goes into the reduction tree (Fig. 2 /
+        // A segment's result goes into the reduction tree (Fig. 2 /
         // Fig. 4).
-        const ReduceTree tree{len};
-        const int pos = tree.leaf_pos(p[1]);
+        const ReduceTree tree{seg.count()};
+        const int pos = tree.leaf_pos(p[1] / seg.height);
         r.push_back({TaskKey{reduce_id, params_of(p[0], tree.parent_of(pos))},
                      static_cast<int8_t>(tree.slot_of(pos)), 0});
       };
 
   if (reduce_id >= 0) {
     pool.mutable_cls(reduce_id).route_outputs =
-        [pl, reduce_id, route_to_sorts](const Params& p,
-                                        std::vector<OutRoute>& r) {
-          const Chain& ch = pl->chains[static_cast<size_t>(p[0])];
-          const ReduceTree tree{static_cast<int>(ch.gemms.size())};
+        [pl, reduce_id, route_to_sorts, h](const Params& p,
+                                           std::vector<OutRoute>& r) {
+          const ReduceTree tree{
+              Segments(pl->chains[static_cast<size_t>(p[0])], h).count()};
           if (p[1] == 0) {
             route_to_sorts(p[0], r);
           } else {
@@ -450,12 +463,36 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
 
   // A variant without priorities (the paper's v2) leaves every class
   // without a priority function, so all its instances schedule at 0.
-  if (!var.priorities) {
-    for (size_t i = 0; i < pool.num_classes(); ++i) {
-      pool.mutable_cls(static_cast<int16_t>(i)).priority = nullptr;
+  // Without stores the pool only describes the graph, for the verifier and
+  // the simulator to materialize: no class has a body, so no Context runs
+  // it.
+  for (size_t i = 0; i < pool.num_classes(); ++i) {
+    TaskClass& c = pool.mutable_cls(static_cast<int16_t>(i));
+    if (!var.priorities) c.priority = nullptr;
+    if (st == nullptr) {
+      c.body = nullptr;
+      c.on_adopt = nullptr;
     }
   }
   return b;
+}
+
+}  // namespace
+
+PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
+                   const VariantConfig& var, int nranks) {
+  MP_REQUIRE(stores.size() >= plan.store_sizes.size(),
+             "build_ptg: missing tensor stores");
+  for (const TensorStore& ts : stores) {
+    MP_REQUIRE(ts.shape && ts.ga, "build_ptg: null storage");
+  }
+  require_result_not_operand(plan, stores);
+  return build(plan, &stores, var, nranks);
+}
+
+PtgBuild build_ptg(const ChainPlan& plan, const VariantConfig& var,
+                   int nranks) {
+  return build(plan, nullptr, var, nranks);
 }
 
 }  // namespace mp::tce

@@ -1,7 +1,5 @@
 #include "tce/template_cache.h"
 
-#include <cstdlib>
-
 #include "analysis/graph_verify.h"
 #include "support/error.h"
 
@@ -15,11 +13,6 @@ uint64_t fnv1a(uint64_t h, uint64_t v) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-bool env_verify_enabled() {
-  const char* e = std::getenv("MP_VERIFY");
-  return e != nullptr && *e != '\0' && std::string(e) != "0";
 }
 
 }  // namespace
@@ -38,7 +31,7 @@ uint64_t fingerprint_tile_space(const TileSpaceSpec& spec) {
 std::string variant_signature(const VariantConfig& var) {
   std::string sig = var.name;
   sig += ":g";
-  sig += var.parallel_gemms ? '1' : '0';
+  sig += std::to_string(var.segment_height);
   sig += 's';
   sig += var.parallel_sorts ? '1' : '0';
   sig += 'w';
@@ -83,12 +76,11 @@ bool PtgTemplate::rebind(const StoreList& stores) {
     MP_REQUIRE(next.shape && next.ga, "PtgTemplate::rebind: null storage");
     if (next.shape == cur.shape && next.ga == cur.ga) continue;
     // Stale-rebind guard: the graph's placement (rank_of/enumerate_rank)
-    // and block addressing were materialized against the original stores.
-    // A replacement tensor must be structurally interchangeable — same
-    // block shape object semantics and same GA extent (the owner map is a
-    // pure function of extent and nranks) — or the cached template would
-    // silently compute with the wrong placement. That is a keying bug in
-    // the caller, not a data change.
+    // was computed from the plan's array extents, and its block addressing
+    // from the original stores. A replacement tensor must be structurally
+    // interchangeable — same block shape object semantics and same GA
+    // extent — or the cached template would silently compute with the wrong
+    // placement. That is a keying bug in the caller, not a data change.
     MP_DCHECK(next.ga->size() == cur.ga->size(),
               "PtgTemplate::rebind: GA extent changed for store " +
                   std::to_string(i) + " (" + std::to_string(next.ga->size()) +
@@ -112,7 +104,6 @@ std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(
     const TemplateKey& key, const ChainPlan& plan, const StoreList& stores,
     const VariantConfig& variant) {
   std::shared_ptr<PtgTemplate> tpl;
-  bool built = false;
   {
     std::lock_guard lock(mu_);
     auto it = map_.find(key);
@@ -120,29 +111,26 @@ std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(
       tpl = it->second;
       ++stats_.hits;
     } else {
-      tpl = std::make_shared<PtgTemplate>(key, plan, stores, variant);
-      map_.emplace(key, tpl);
+      // Built and, when MP_VERIFY is set, verified before it is published:
+      // a hit may only ever return a template that passed. mp-verify runs
+      // once per template instead of once per submission, because the
+      // graph is a pure function of the key.
+      auto fresh = std::make_shared<PtgTemplate>(key, plan, stores, variant);
       ++stats_.misses;
-      built = true;
+      if (analysis::env_verify_enabled()) {
+        ++stats_.verifies_run;
+        const auto diags = analysis::verify_graph(fresh->pool(), key.nranks);
+        if (!diags.empty()) {
+          throw StateError(
+              "MP_VERIFY: cached PTG template failed static verification; " +
+              analysis::render(diags));
+        }
+      }
+      map_.emplace(key, fresh);
+      return fresh;
     }
   }
-  if (built && env_verify_enabled()) {
-    // mp-verify once per template instead of once per submission: the
-    // graph is a pure function of the key, so the verdict holds for every
-    // future hit.
-    const auto diags = analysis::verify_graph(tpl->pool(), key.nranks);
-    if (!diags.empty()) {
-      invalidate(key);
-      throw StateError(
-          "MP_VERIFY: cached PTG template failed static verification; " +
-          analysis::render(diags));
-    }
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.verifies_run;
-    }
-  }
-  if (!built && tpl->rebind(stores)) {
+  if (tpl->rebind(stores)) {
     std::lock_guard lock(mu_);
     ++stats_.rebinds;
   }

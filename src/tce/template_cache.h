@@ -34,8 +34,9 @@ namespace mp::tce {
 /// fingerprint (with the other key fields) fully determines the graph.
 uint64_t fingerprint_tile_space(const TileSpaceSpec& spec);
 
-/// The variant's identity for keying: name plus the flag bits, so a
-/// hand-built config with a reused name cannot alias a cached template.
+/// The variant's identity for keying: name plus the segment height and the
+/// flag bits ("v5:g1s0w0p1"), so a hand-built config with a reused name
+/// cannot alias a cached template.
 std::string variant_signature(const VariantConfig& var);
 
 /// Everything the materialized graph depends on. Submissions whose key
@@ -117,9 +118,11 @@ class TemplateCache {
   };
 
   /// Return the template for `key`, building (and, when MP_VERIFY is set,
-  /// verifying — throws StateError on diagnostics) on first use. On a hit
-  /// the plan/variant arguments are ignored; on every call the template is
-  /// re-bound to `stores`.
+  /// verifying — throws StateError on diagnostics and caches nothing) on
+  /// first use. A template enters the cache only after it verified, so no
+  /// call ever returns an unverified one. On a hit the plan/variant
+  /// arguments are ignored; on every call the template is re-bound to
+  /// `stores`.
   std::shared_ptr<PtgTemplate> get_or_build(const TemplateKey& key,
                                             const ChainPlan& plan,
                                             const StoreList& stores,

@@ -10,6 +10,7 @@ std::vector<VariantConfig> VariantConfig::all() {
 
 void VariantConfig::validate() const {
   MP_REQUIRE(!name.empty(), "VariantConfig: empty name");
+  MP_REQUIRE(segment_height >= 0, "VariantConfig: negative segment height");
   MP_REQUIRE(!parallel_writes || parallel_sorts,
              "VariantConfig: parallel writes require parallel sorts");
 }

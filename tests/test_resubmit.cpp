@@ -274,6 +274,18 @@ TEST(TemplateKey, VariantSignatureSeparatesAllVariantsAndFlagTweaks) {
   forged.priorities = !forged.priorities;
   EXPECT_NE(tce::variant_signature(forged),
             tce::variant_signature(tce::VariantConfig::v5()));
+  // Nor may two chain segment heights share a template.
+  tce::VariantConfig h2 = tce::VariantConfig::v5();
+  h2.segment_height = 2;
+  tce::VariantConfig h3 = h2;
+  h3.segment_height = 3;
+  EXPECT_NE(tce::variant_signature(h2), tce::variant_signature(h3));
+  for (const auto& sig : sigs) {
+    EXPECT_NE(tce::variant_signature(h2), sig);
+    EXPECT_NE(tce::variant_signature(h3), sig);
+  }
+  EXPECT_EQ(tce::variant_signature(tce::VariantConfig::v5()), "v5:g1s0w0p1");
+  EXPECT_EQ(tce::variant_signature(h3), "v5:g3s0w0p1");
 }
 
 TEST(TemplateKey, KeyEqualityAndHashRespectEveryField) {

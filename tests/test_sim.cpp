@@ -8,11 +8,13 @@
 
 #include <cmath>
 
+#include "analysis/graph_verify.h"
 #include "ga/global_array.h"
 #include "sim/original_sim.h"
 #include "sim/presets.h"
 #include "sim/ptg_sim.h"
 #include "sim/task_graph.h"
+#include "tce/ptg_build.h"
 #include "vc/cluster.h"
 
 namespace mp::sim {
@@ -37,7 +39,7 @@ TEST(BlockOwner, MatchesGlobalArrayFormula) {
   vc::Cluster cluster(5);
   ga::GlobalArray g(&cluster, 1003);
   for (int64_t i = 0; i < 1003; i += 13) {
-    EXPECT_EQ(block_owner(i, 1003, 5), g.owner_of(i));
+    EXPECT_EQ(ga::block_owner(i, 1003, 5), g.owner_of(i));
   }
 }
 
@@ -88,9 +90,8 @@ TEST(TaskGraph, V1IsSerialChainWithDfill) {
   opts.nodes = 4;
   const auto g = build_graph(p.plan, opts);
   EXPECT_EQ(count_kind(g, SimTaskKind::kReduce), 0u);  // one segment
-  size_t multi_gemm_chains = 0;
-  for (const auto& c : p.plan.chains) multi_gemm_chains += c.gemms.size() > 1;
-  EXPECT_EQ(count_kind(g, SimTaskKind::kDfill), multi_gemm_chains);
+  // The runtime's v1: every chain, single-GEMM ones too, starts at a DFILL.
+  EXPECT_EQ(count_kind(g, SimTaskKind::kDfill), p.plan.chains.size());
 }
 
 TEST(TaskGraph, EdgeCountMatchesDependencyCount) {
@@ -111,16 +112,16 @@ TEST(TaskGraph, SegmentationAblation) {
   GraphOptions opts;
   opts.variant = tce::VariantConfig::v5();
   opts.nodes = 2;
-  opts.segment_height = 2;
+  opts.variant.segment_height = 2;
   const auto g = build_graph(p.plan, opts);
   // Segments of height 2: chains of length L produce ceil(L/2) segments,
-  // each multi-GEMM segment gets a DFILL.
+  // each headed by a DFILL.
   size_t expect_reduce = 0, expect_dfill = 0;
   for (const auto& c : p.plan.chains) {
     const size_t L = c.gemms.size();
     const size_t segs = (L + 1) / 2;
     if (segs > 1) expect_reduce += segs - 1;
-    if (L > 1) expect_dfill += segs;  // height-2 heads carry DFILLs
+    expect_dfill += segs;
   }
   EXPECT_EQ(count_kind(g, SimTaskKind::kReduce), expect_reduce);
   EXPECT_EQ(count_kind(g, SimTaskKind::kDfill), expect_dfill);
@@ -140,6 +141,57 @@ TEST(TaskGraph, PrioritiesFollowPaperFormula) {
       EXPECT_DOUBLE_EQ(t.priority, max_l1 - t.l1 + 1 * 8);
     } else {
       EXPECT_DOUBLE_EQ(t.priority, max_l1 - t.l1);
+    }
+  }
+}
+
+// The simulator takes its graph from build_ptg: at the default offsets
+// every SimTask carries its runtime class's priority and the kind of that
+// class, for the paper's variants and for chain segments of h GEMMs.
+TEST(TaskGraph, TasksCarryTheirRuntimeClassesPriorityAndKind) {
+  const auto t = tiny();
+  tce::BlockTensor4 w(*t.space, {tce::RangeKind::kOcc, tce::RangeKind::kOcc,
+                                 tce::RangeKind::kOcc, tce::RangeKind::kOcc});
+  const tce::ChainPlan fused = tce::fuse_plans(
+      t.plan, tce::inspect_hh_ladder(*t.space, {&w, t.t.get(), t.r.get()}),
+      {3, 1, 2});
+  const auto skewed = make_preset("skewed_tile");
+  std::vector<tce::VariantConfig> variants = tce::VariantConfig::all();
+  for (const int h : {2, 4}) {
+    tce::VariantConfig v = tce::VariantConfig::v5();
+    v.segment_height = h;
+    variants.push_back(v);
+  }
+  for (const auto& [name, plan] :
+       {std::pair{"tiny", &t.plan}, std::pair{"fused", &fused},
+        std::pair{"skewed_tile", &skewed.plan}}) {
+    for (const int nodes : {3, 8}) {
+      for (const auto& v : variants) {
+        GraphOptions opts;
+        opts.variant = v;
+        opts.nodes = nodes;
+        const auto g = build_graph(*plan, opts);
+        const auto b = tce::build_ptg(*plan, v, nodes);
+        const auto m = analysis::materialize_graph(b.pool, nodes);
+        ASSERT_EQ(g.tasks.size(), m.tasks.size());
+        for (size_t i = 0; i < g.tasks.size(); ++i) {
+          const SimTask& st = g.tasks[i];
+          const auto& mt = m.tasks[i];
+          const ptg::TaskClass& c = b.pool.cls(mt.key.cls);
+          const std::string where = std::string(name) + " " + v.name +
+                                    " h=" +
+                                    std::to_string(v.segment_height) +
+                                    " nodes=" + std::to_string(nodes) +
+                                    " " + c.name;
+          ASSERT_EQ(c.name.rfind(to_string(st.kind), 0), 0u) << where;
+          ASSERT_EQ(st.node, mt.owner) << where;
+          if (c.priority) {
+            ASSERT_EQ(st.priority, c.priority(mt.key.p)) << where;
+          } else {
+            ASSERT_LT(st.priority, 1.0) << where;  // pseudo-random order
+          }
+        }
+      }
     }
   }
 }

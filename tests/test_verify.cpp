@@ -5,8 +5,11 @@
 // distinct stable diagnostic code.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/graph_verify.h"
@@ -122,6 +125,63 @@ TEST(VerifyClean, HhLadderAndFused) {
     EXPECT_TRUE(fu_rep.clean()) << "fused " << var.name << ":\n"
                                 << analysis::render(fu_rep.diags);
   }
+}
+
+// Chain segments of h GEMMs (VariantConfig::segment_height) on every
+// workload: h = 2..4 chain each segment's GEMMs behind a DFILL and reduce
+// over the segments, and the TCE closed forms (MPT001/MPT005) follow h.
+TEST(VerifyClean, SegmentHeightsOnEveryWorkload) {
+  Workload base;
+  tce::BlockTensor4 wshape(base.space, {RangeKind::kOcc, RangeKind::kOcc,
+                                        RangeKind::kOcc, RangeKind::kOcc});
+  ga::GlobalArray w_ga(&base.cluster, wshape.ga_size());
+  const auto hh =
+      tce::inspect_hh_ladder(base.space, {&wshape, &base.t, &base.r});
+  const tce::StoreList hh_stores = {
+      {&wshape, &w_ga}, {&base.t, &base.t_ga}, {&base.r, &base.r_ga}};
+  const auto fused = tce::fuse_plans(base.plan, hh, {3, 1, 2});
+  tce::StoreList fused_stores = base.stores;
+  fused_stores.push_back({&wshape, &w_ga});
+
+  for (const int h : {2, 3, 4}) {
+    for (auto var : tce::VariantConfig::all()) {
+      var.segment_height = h;
+      using Case = std::tuple<const char*, const tce::ChainPlan*,
+                              const tce::StoreList*>;
+      for (const auto& [name, plan, stores] :
+           {Case{"t2_7", &base.plan, &base.stores},
+            Case{"hh_ladder", &hh, &hh_stores},
+            Case{"fused", &fused, &fused_stores}}) {
+        const auto rep = analysis::verify_variant(*plan, *stores, var, 3);
+        EXPECT_TRUE(rep.clean()) << name << " " << var.name << " h=" << h
+                                 << ":\n" << analysis::render(rep.diags);
+      }
+    }
+  }
+}
+
+// The graph built without stores is the same graph, and the verifier
+// materializes it, but it has no bodies: a Context refuses to run it.
+TEST(VerifyClean, GraphWithoutStoresVerifiesButCannotRun) {
+  Workload w;
+  for (const auto& var : tce::VariantConfig::all()) {
+    const auto with = tce::build_ptg(w.plan, w.stores, var, 3);
+    const auto bare = tce::build_ptg(w.plan, var, 3);
+    const auto g_with = analysis::materialize_graph(with.pool, 3);
+    const auto g_bare = analysis::materialize_graph(bare.pool, 3);
+    ASSERT_EQ(g_bare.tasks.size(), g_with.tasks.size()) << var.name;
+    for (size_t i = 0; i < g_bare.tasks.size(); ++i) {
+      EXPECT_EQ(g_bare.tasks[i].key, g_with.tasks[i].key) << var.name;
+      EXPECT_EQ(g_bare.tasks[i].owner, g_with.tasks[i].owner) << var.name;
+      EXPECT_EQ(g_bare.tasks[i].succ, g_with.tasks[i].succ) << var.name;
+    }
+    const auto diags = analysis::verify_graph(bare.pool, g_bare);
+    EXPECT_TRUE(diags.empty()) << var.name << ":\n" << analysis::render(diags);
+  }
+  const auto bare = tce::build_ptg(w.plan, tce::VariantConfig::v5(), 3);
+  w.cluster.run([&](vc::RankCtx& rctx) {
+    EXPECT_THROW(ptg::Context(rctx, bare.pool), InvalidArgument);
+  });
 }
 
 TEST(VerifyClean, VariousRankCounts) {
@@ -307,6 +367,49 @@ TEST(MpVerifyGate, RunAbortsOnCorruptGraphWhenEnvSet) {
     EXPECT_THROW(ctx.run(), StateError);
   });
   ::unsetenv("MP_VERIFY");
+}
+
+// A failed MP_VERIFY pass is latched: the second run() of the same Context
+// raises the same StateError and runs no body, instead of executing the
+// malformed graph (which would starve a GEMM until the watchdog fires).
+TEST(MpVerifyGate, FailedVerificationFailsEveryLaterRun) {
+  Workload w(1);
+  auto build = tce::build_ptg(w.plan, w.stores, tce::VariantConfig::v5(), 1);
+  const auto victim = ptg::params_of(long_chain(w.plan).id, 0);
+  auto& cls = build.pool.mutable_cls(build.ids.read_a);
+  const auto old_enum = cls.enumerate_rank;
+  cls.enumerate_rank = [old_enum, victim](int rank) {
+    auto out = old_enum(rank);
+    std::erase(out, victim);
+    return out;
+  };
+  std::atomic<int> bodies{0};
+  for (size_t ci = 0; ci < build.pool.num_classes(); ++ci) {
+    auto& c = build.pool.mutable_cls(static_cast<int16_t>(ci));
+    c.body = [&bodies, inner = c.body](ptg::TaskCtx& t) {
+      ++bodies;
+      inner(t);
+    };
+  }
+  ::setenv("MP_VERIFY", "1", 1);
+  struct Unset {
+    ~Unset() { ::unsetenv("MP_VERIFY"); }
+  } unset_on_exit;
+  ptg::Options opts;
+  opts.watchdog_timeout_ms = 500;
+  w.cluster.run([&](vc::RankCtx& rctx) {
+    ptg::Context ctx(rctx, build.pool, opts);
+    for (int run = 0; run < 2; ++run) {
+      try {
+        ctx.run();
+        ADD_FAILURE() << "run " << run << " executed a malformed graph";
+      } catch (const StateError& e) {
+        EXPECT_NE(std::string(e.what()).find("MP_VERIFY"), std::string::npos)
+            << "run " << run << ": " << e.what();
+      }
+    }
+  });
+  EXPECT_EQ(bodies.load(), 0);
 }
 
 TEST(MpVerifyGate, HealthyExecutionPassesWithEnvSet) {
