@@ -40,6 +40,16 @@ int main(int argc, char** argv) {
   for (const auto& v : variants) std::printf(" %9s", v.name.c_str());
   std::printf("   (simulated seconds)\n");
 
+  // A variant's graph does not depend on the cores per node: build each
+  // once.
+  std::vector<SimGraph> graphs;
+  for (const auto& v : variants) {
+    GraphOptions gopts;
+    gopts.variant = v;
+    gopts.nodes = nodes;
+    graphs.push_back(build_graph(p.plan, gopts));
+  }
+
   for (const int cores : core_counts) {
     std::vector<double> row;
     OriginalSimOptions oopts;
@@ -47,11 +57,7 @@ int main(int argc, char** argv) {
     oopts.cores_per_node = cores;
     row.push_back(simulate_original(p.plan, oopts).makespan);
 
-    for (const auto& v : variants) {
-      GraphOptions gopts;
-      gopts.variant = v;
-      gopts.nodes = nodes;
-      const auto g = build_graph(p.plan, gopts);
+    for (const SimGraph& g : graphs) {
       SimOptions sopts;
       sopts.cores_per_node = cores;
       row.push_back(simulate_ptg(g, sopts).makespan);
