@@ -214,6 +214,7 @@ CcsdResult run_ccsd(const SpinOrbitalSystem& sys, const CcsdOptions& opts) {
   std::vector<double> Wmbej(static_cast<size_t>(O) * V * V * O);
   std::vector<double> tau(n2), taut(n2);
   std::vector<double> t1n(n1), t2n(n2), ladder(n2);
+  std::vector<double> wrest(static_cast<size_t>(V) * V * V * V);
 
   for (int iter = 1; iter <= opts.max_iter; ++iter) {
     // tau and tau-tilde.
@@ -359,6 +360,25 @@ CcsdResult run_ccsd(const SpinOrbitalSystem& sys, const CcsdOptions& opts) {
       }
     }
 
+    // Wabef - <ab||ef> depends on (a, b, e, f) only: evaluate it once per
+    // iteration, not once per (i, j). Same operation order as inline, so
+    // the amplitudes stay bit-identical.
+    for (int a = 0; a < V; ++a)
+      for (int b = 0; b < V; ++b)
+        for (int e = 0; e < V; ++e)
+          for (int f = 0; f < V; ++f) {
+            double r = 0.0;
+            for (int m = 0; m < O; ++m) {
+              r -= t1[ix.t1(b, m)] * sys.v(O + a, m, O + e, O + f) -
+                   t1[ix.t1(a, m)] * sys.v(O + b, m, O + e, O + f);
+            }
+            for (int m = 0; m < O; ++m)
+              for (int n = 0; n < O; ++n) {
+                r += 0.25 * tau[ix.t2(a, b, m, n)] * w.v_oovv(m, n, e, f);
+              }
+            wrest[((static_cast<size_t>(a) * V + b) * V + e) * V + f] = r;
+          }
+
     for (int a = 0; a < V; ++a)
       for (int b = 0; b < V; ++b)
         for (int i = 0; i < O; ++i)
@@ -395,19 +415,10 @@ CcsdResult run_ccsd(const SpinOrbitalSystem& sys, const CcsdOptions& opts) {
 
             // 1/2 sum_ef tau(ef,ij) * (Wabef - <ab||ef>): the <ab||ef> part
             // is `ladder`, added below.
+            const double* wr = &wrest[(static_cast<size_t>(a) * V + b) * V * V];
             for (int e = 0; e < V; ++e)
               for (int f = 0; f < V; ++f) {
-                double wrest = 0.0;
-                for (int m = 0; m < O; ++m) {
-                  wrest -= t1[ix.t1(b, m)] * sys.v(O + a, m, O + e, O + f) -
-                           t1[ix.t1(a, m)] * sys.v(O + b, m, O + e, O + f);
-                }
-                for (int m = 0; m < O; ++m)
-                  for (int n = 0; n < O; ++n) {
-                    wrest += 0.25 * tau[ix.t2(a, b, m, n)] *
-                             w.v_oovv(m, n, e, f);
-                  }
-                s += 0.5 * tau[ix.t2(e, f, i, j)] * wrest;
+                s += 0.5 * tau[ix.t2(e, f, i, j)] * wr[e * V + f];
               }
 
             // P(ij)P(ab) sum_me [ t2(ae,im) Wmbej - t1(e,i)t1(a,m)<mb||ej> ]

@@ -6,7 +6,9 @@
 // 14th digit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "cc/ccsd.h"
 #include "cc/integration.h"
@@ -166,6 +168,46 @@ TEST(Ccd, DistributedLadderWorksInCcdToo) {
   const auto res = run_ccsd(sys, opts);
   ASSERT_TRUE(res.converged);
   EXPECT_NEAR(res.e_corr, dense.e_corr, 1e-13);
+}
+
+/// FNV-1a over the bit patterns of `v`: equal iff bit-identical.
+uint64_t bits_fingerprint(const std::vector<double>& v) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : v) {
+    const auto u = std::bit_cast<uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// The dense driver's results, recorded before the t1/tau part of Wabef was
+// hoisted out of the (i, j) loop: the hoist keeps every floating-point
+// operation in its order, so energies and amplitudes stay bit-identical.
+// The synthetic model is the one ccsd_fine solves (2 occupied and 6
+// virtual spatial orbitals, seed 1).
+TEST(Ccsd, ResultsArePinnedBitForBit) {
+  struct Case {
+    const char* name;
+    SpinOrbitalSystem sys;
+    uint64_t e_corr_bits, t1_bits, t2_bits;
+  };
+  const Case cases[] = {
+      {"synthetic", make_synthetic(2, 6, 1.5, 0.1, 1), 13817750426697510536u,
+       11531843846691577548u, 13049144370462308858u},
+      {"pairing", make_pairing(6, 3, 1.0, 0.4), 13824725238884383865u,
+       4656000475824556453u, 12952508718165321957u},
+  };
+  for (const Case& c : cases) {
+    const auto res = run_ccsd(c.sys);
+    ASSERT_TRUE(res.converged) << c.name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(res.e_corr), c.e_corr_bits)
+        << c.name << " e_corr " << res.e_corr;
+    EXPECT_EQ(bits_fingerprint(res.t1), c.t1_bits) << c.name << " t1";
+    EXPECT_EQ(bits_fingerprint(res.t2), c.t2_bits) << c.name << " t2";
+  }
 }
 
 TEST(Ccsd, EnergyHistoryIsRecorded) {
