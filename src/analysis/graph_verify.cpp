@@ -6,184 +6,104 @@
 
 namespace mp::analysis {
 
-std::string GraphModel::name_of(const ptg::Taskpool& pool,
-                                const ptg::TaskKey& key) {
-  std::ostringstream os;
-  os << pool.cls(key.cls).name << "(" << key.p[0] << "," << key.p[1] << ","
-     << key.p[2] << ")";
-  return os.str();
-}
+std::vector<Diag> verify_graph(const ptg::FlatGraph& g) {
+  std::vector<Diag> diags = g.diags();
+  const int32_t n = g.size();
 
-GraphModel materialize_graph(const ptg::Taskpool& pool, int nranks) {
-  GraphModel g;
-  pool.validate();
-
-  // Instances: every class, every rank. Duplicate or mis-homed instances
-  // are materialization-time findings.
-  for (int rank = 0; rank < nranks; ++rank) {
-    for (size_t ci = 0; ci < pool.num_classes(); ++ci) {
-      const ptg::TaskClass& c = pool.cls(static_cast<int16_t>(ci));
-      for (const ptg::Params& p : c.enumerate_rank(rank)) {
-        const ptg::TaskKey key{c.cls, p};
-        auto [it, inserted] =
-            g.index.emplace(key, static_cast<int>(g.tasks.size()));
-        if (!inserted) {
-          g.diags.push_back({"MPV002",
-                             "task instance enumerated more than once "
-                             "(second enumeration by rank " +
-                                 std::to_string(rank) + ")",
-                             GraphModel::name_of(pool, key)});
-          continue;
-        }
-        GraphTask t;
-        t.key = key;
-        t.owner = rank;
-        t.num_inputs = c.num_task_inputs(p);
-        t.num_outputs = c.num_outputs ? c.num_outputs(p) : -1;
-        t.producers_per_slot.assign(
-            t.num_inputs > 0 ? static_cast<size_t>(t.num_inputs) : 0, 0);
-        if (t.num_outputs > 0) {
-          t.consumers_per_out.assign(static_cast<size_t>(t.num_outputs), 0);
-        }
-        if (c.rank_of(p) != rank) {
-          g.diags.push_back(
-              {"MPV003",
-               "enumerated by rank " + std::to_string(rank) +
-                   " but rank_of() places it on rank " +
-                   std::to_string(c.rank_of(p)),
-               GraphModel::name_of(pool, key)});
-        }
-        g.tasks.push_back(std::move(t));
-      }
-    }
-  }
-
-  // Edges: evaluate route_outputs per instance.
-  for (size_t ti = 0; ti < g.tasks.size(); ++ti) {
-    GraphTask& t = g.tasks[ti];
-    const ptg::TaskClass& c = pool.cls(t.key.cls);
-    if (!c.route_outputs) continue;
-    std::vector<ptg::OutRoute> routes;
-    c.route_outputs(t.key.p, routes);
-    for (const ptg::OutRoute& r : routes) {
-      ++g.num_edges;
-      if (t.num_outputs >= 0) {
-        if (r.out_slot < 0 || r.out_slot >= t.num_outputs) {
-          g.diags.push_back(
+  // Edge counts into every input slot and out of every declared output.
+  std::vector<int> fed(g.num_input_slots(), 0);
+  std::vector<int> out_uses;
+  for (int32_t id = 0; id < n; ++id) {
+    const int outs = g.num_outputs(id);
+    out_uses.assign(outs > 0 ? static_cast<size_t>(outs) : 0, 0);
+    for (const ptg::FlatGraph::Edge& e : g.successors(id)) {
+      if (outs >= 0) {
+        if (e.out_slot < 0 || e.out_slot >= outs) {
+          diags.push_back(
               {"MPV011",
-               "edge leaves output slot " + std::to_string(r.out_slot) +
-                   " but the class declares " + std::to_string(t.num_outputs) +
+               "edge leaves output slot " + std::to_string(e.out_slot) +
+                   " but the class declares " + std::to_string(outs) +
                    " output(s)",
-               GraphModel::name_of(pool, t.key)});
+               g.name_of(id)});
         } else {
-          ++t.consumers_per_out[static_cast<size_t>(r.out_slot)];
+          ++out_uses[static_cast<size_t>(e.out_slot)];
         }
       }
-      auto it = g.index.find(r.consumer);
-      if (it == g.index.end()) {
-        g.diags.push_back(
-            {"MPV004",
-             "edge targets " + GraphModel::name_of(pool, r.consumer) +
-                 ", which no rank enumerates",
-             GraphModel::name_of(pool, t.key)});
-        continue;
-      }
-      GraphTask& dst = g.tasks[static_cast<size_t>(it->second)];
-      if (r.in_slot < 0 || r.in_slot >= dst.num_inputs) {
-        g.diags.push_back(
-            {"MPV005",
-             "edge from " + GraphModel::name_of(pool, t.key) +
-                 " feeds input slot " + std::to_string(r.in_slot) +
-                 " but the consumer declares " +
-                 std::to_string(dst.num_inputs) + " input(s)",
-             GraphModel::name_of(pool, r.consumer)});
-        continue;
-      }
-      if (++dst.producers_per_slot[static_cast<size_t>(r.in_slot)] == 2) {
-        g.diags.push_back(
+      if (++fed[g.input_base(e.consumer) + static_cast<uint32_t>(e.in_slot)] ==
+          2) {
+        diags.push_back(
             {"MPV006",
-             "input slot " + std::to_string(r.in_slot) +
+             "input slot " + std::to_string(e.in_slot) +
                  " is fed by more than one producer (duplicate writer; "
                  "the runtime would fault on the double deposit)",
-             GraphModel::name_of(pool, r.consumer)});
-      }
-      t.succ.push_back(it->second);
-    }
-  }
-  return g;
-}
-
-std::vector<Diag> verify_graph(const ptg::Taskpool& pool,
-                               const GraphModel& g) {
-  std::vector<Diag> diags = g.diags;
-
-  size_t startup = 0;
-  for (const GraphTask& t : g.tasks) {
-    if (t.num_inputs == 0) ++startup;
-    for (int slot = 0; slot < t.num_inputs; ++slot) {
-      const int n = t.producers_per_slot[static_cast<size_t>(slot)];
-      if (n == 0) {
-        diags.push_back(
-            {"MPV007",
-             "declared input slot " + std::to_string(slot) +
-                 " is never fed by any producer (dropped edge; the task "
-                 "can never become ready)",
-             GraphModel::name_of(pool, t.key)});
+             g.name_of(e.consumer)});
       }
     }
     // Refcount conservation: every declared output must reach >= 1
     // consumer, otherwise its DataBuf retain has no matching release.
-    for (size_t o = 0; o < t.consumers_per_out.size(); ++o) {
-      if (t.consumers_per_out[o] == 0) {
+    for (size_t o = 0; o < out_uses.size(); ++o) {
+      if (out_uses[o] == 0) {
         diags.push_back(
             {"MPV010",
              "declared output slot " + std::to_string(o) +
                  " reaches no consumer (leaked DataBuf: retained by the "
                  "producer, never released to a successor)",
-             GraphModel::name_of(pool, t.key)});
+             g.name_of(id)});
       }
     }
-  }
-  if (startup == 0 && !g.tasks.empty()) {
-    diags.push_back({"MPV009",
-                     "graph has " + std::to_string(g.tasks.size()) +
-                         " tasks but no startup task (every instance "
-                         "declares task inputs)",
-                     ""});
   }
 
   // Reachability + acyclicity in one Kahn sweep over the *actual* edges:
   // a task fires once all edges that really exist have delivered. Seeding
   // with startup tasks, anything left either sits behind a dropped edge
-  // (already reported as MPV007), is unreachable, or is on a cycle.
-  std::vector<int> remaining(g.tasks.size(), 0);
-  std::deque<int> ready;
-  for (size_t i = 0; i < g.tasks.size(); ++i) {
-    int in_edges = 0;
-    for (int n : g.tasks[i].producers_per_slot) in_edges += n;
-    remaining[i] = in_edges;
-    if (g.tasks[i].num_inputs == 0) ready.push_back(static_cast<int>(i));
-  }
-  std::vector<bool> fired(g.tasks.size(), false);
-  while (!ready.empty()) {
-    const int i = ready.front();
-    ready.pop_front();
-    if (fired[static_cast<size_t>(i)]) continue;
-    fired[static_cast<size_t>(i)] = true;
-    for (int s : g.tasks[static_cast<size_t>(i)].succ) {
-      if (--remaining[static_cast<size_t>(s)] == 0 &&
-          !fired[static_cast<size_t>(s)]) {
-        ready.push_back(s);
+  // (reported as MPV007), is unreachable, or is on a cycle.
+  size_t startup = 0;
+  bool any_starved = false;
+  std::vector<int> remaining(static_cast<size_t>(n), 0);
+  std::vector<uint8_t> starved(static_cast<size_t>(n), 0);
+  std::deque<int32_t> ready;
+  for (int32_t id = 0; id < n; ++id) {
+    const int inputs = g.num_inputs(id);
+    if (inputs == 0) {
+      ++startup;
+      ready.push_back(id);
+    }
+    for (int slot = 0; slot < inputs; ++slot) {
+      const int edges = fed[g.input_base(id) + static_cast<uint32_t>(slot)];
+      remaining[static_cast<size_t>(id)] += edges;
+      if (edges == 0) {
+        starved[static_cast<size_t>(id)] = 1;
+        any_starved = true;
+        diags.push_back(
+            {"MPV007",
+             "declared input slot " + std::to_string(slot) +
+                 " is never fed by any producer (dropped edge; the task "
+                 "can never become ready)",
+             g.name_of(id)});
       }
     }
   }
-  bool any_starved = false;
-  for (const Diag& d : diags) any_starved |= (d.code == "MPV007");
-  for (size_t i = 0; i < g.tasks.size(); ++i) {
-    if (fired[i] || g.tasks[i].num_inputs == 0) continue;
-    bool starved = false;
-    for (int n : g.tasks[i].producers_per_slot) starved |= (n == 0);
-    if (starved) continue;  // already reported as MPV007
+  if (startup == 0 && n > 0) {
+    diags.push_back({"MPV009",
+                     "graph has " + std::to_string(n) +
+                         " tasks but no startup task (every instance "
+                         "declares task inputs)",
+                     ""});
+  }
+  std::vector<bool> fired(static_cast<size_t>(n), false);
+  while (!ready.empty()) {
+    const int32_t i = ready.front();
+    ready.pop_front();
+    if (fired[static_cast<size_t>(i)]) continue;
+    fired[static_cast<size_t>(i)] = true;
+    for (const ptg::FlatGraph::Edge& e : g.successors(i)) {
+      const auto s = static_cast<size_t>(e.consumer);
+      if (--remaining[s] == 0 && !fired[s]) ready.push_back(e.consumer);
+    }
+  }
+  for (int32_t id = 0; id < n; ++id) {
+    const auto i = static_cast<size_t>(id);
+    if (fired[i] || g.num_inputs(id) == 0 || starved[i]) continue;
     // Fully-fed but never fired. With no dropped edge anywhere in the
     // graph the only explanation is a dependency cycle; with one, the task
     // is (also) starved transitively through its producers.
@@ -192,13 +112,13 @@ std::vector<Diag> verify_graph(const ptg::Taskpool& pool,
                          ? "task can never become ready (transitively "
                            "starved by a dropped edge, or on a cycle)"
                          : "task is part of a dependency cycle",
-                     GraphModel::name_of(pool, g.tasks[i].key)});
+                     g.name_of(id)});
   }
   return diags;
 }
 
 std::vector<Diag> verify_graph(const ptg::Taskpool& pool, int nranks) {
-  return verify_graph(pool, materialize_graph(pool, nranks));
+  return verify_graph(ptg::FlatGraph::compile(pool, nranks));
 }
 
 bool env_verify_enabled() {

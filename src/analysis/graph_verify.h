@@ -4,9 +4,11 @@
 // symbolic functions (enumerate_rank, rank_of, num_task_inputs,
 // route_outputs) does not crash the runtime — it silently corrupts results
 // (a dropped edge starves a GEMM, a duplicate edge double-deposits a
-// block). materialize_graph() evaluates the whole description for a given
-// rank count without executing anything, and verify_graph() checks the DAG
-// invariants the runtime relies on:
+// block). ptg::FlatGraph::compile() evaluates the whole description for a
+// given rank count without executing anything — the same compile the
+// runtime and the simulator run — and verify_graph() checks the DAG
+// invariants the runtime relies on. MPV002-MPV005 are the compile's own
+// findings (instances or edges it cannot place); the rest are checked here:
 //
 //   MPV001  cycle            — dependency cycle among task instances
 //   MPV002  duplicate task   — instance enumerated more than once
@@ -30,48 +32,20 @@
 // variable is set (rank 0 only; the graph is rank-independent).
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/diagnostics.h"
+#include "ptg/flat_graph.h"
 #include "ptg/taskpool.h"
-#include "ptg/types.h"
 
 namespace mp::analysis {
 
-/// One materialized task instance.
-struct GraphTask {
-  ptg::TaskKey key;
-  int owner = -1;        ///< rank that enumerates (executes) it
-  int num_inputs = 0;    ///< declared activation threshold
-  int num_outputs = -1;  ///< declared outputs, -1 when the class is silent
-  std::vector<int> producers_per_slot;  ///< edge count into each input slot
-  std::vector<int> consumers_per_out;   ///< edge count out of each out slot
-  std::vector<int> succ;                ///< successor task indices
-};
+/// Run every structural check on an already-compiled graph: the compile's
+/// findings first, then MPV011, MPV006, MPV010, MPV007, MPV009 and the
+/// reachability/acyclicity sweep (MPV001/MPV008).
+std::vector<Diag> verify_graph(const ptg::FlatGraph& g);
 
-/// The fully-evaluated task graph of a Taskpool for `nranks` ranks.
-struct GraphModel {
-  std::vector<GraphTask> tasks;
-  std::unordered_map<ptg::TaskKey, int, ptg::TaskKeyHash> index;
-  std::vector<Diag> diags;  ///< problems found while materializing
-  size_t num_edges = 0;
-
-  /// Symbolic name "GEMM(3,1)" for reports.
-  static std::string name_of(const ptg::Taskpool& pool,
-                             const ptg::TaskKey& key);
-};
-
-/// Evaluate every instance and edge of `pool` for `nranks` ranks.
-GraphModel materialize_graph(const ptg::Taskpool& pool, int nranks);
-
-/// Run every structural check on an already-materialized graph.
-std::vector<Diag> verify_graph(const ptg::Taskpool& pool,
-                               const GraphModel& g);
-
-/// Convenience: materialize + verify in one call.
+/// Convenience: compile + verify in one call.
 std::vector<Diag> verify_graph(const ptg::Taskpool& pool, int nranks);
 
 /// True when the MP_VERIFY environment variable asks for the pass before

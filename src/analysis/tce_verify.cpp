@@ -1,6 +1,7 @@
 #include "analysis/tce_verify.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "analysis/plan_verify.h"
 
@@ -18,26 +19,36 @@ struct ChainCounts {
 std::vector<Diag> verify_tce_graph(const tce::ChainPlan& plan,
                                    const tce::VariantConfig& var,
                                    const tce::PtgBuild& build,
-                                   const GraphModel& graph) {
+                                   const ptg::FlatGraph& graph) {
   std::vector<Diag> diags;
   const tce::PtgClassIds& ids = build.ids;
 
   std::vector<ChainCounts> per_chain(plan.chains.size());
   size_t foreign = 0;
-  for (const GraphTask& t : graph.tasks) {
-    const auto l1 = static_cast<size_t>(t.key.p[0]);
+  // WRITE instances per chain, for the fan-in check below, and every key,
+  // for the GEMM feed check.
+  std::vector<std::vector<int32_t>> writes(plan.chains.size());
+  std::unordered_set<ptg::TaskKey, ptg::TaskKeyHash> keys;
+  keys.reserve(static_cast<size_t>(graph.size()));
+  for (int32_t id = 0; id < graph.size(); ++id) {
+    const ptg::TaskKey& key = graph.key(id);
+    keys.insert(key);
+    const auto l1 = static_cast<size_t>(key.p[0]);
     if (l1 >= per_chain.size()) {
       ++foreign;
       continue;
     }
     ChainCounts& cc = per_chain[l1];
-    if (t.key.cls == ids.read_a) ++cc.reads_a;
-    else if (t.key.cls == ids.read_b) ++cc.reads_b;
-    else if (t.key.cls == ids.dfill) ++cc.dfills;
-    else if (t.key.cls == ids.gemm) ++cc.gemms;
-    else if (t.key.cls == ids.reduce) ++cc.reduces;
-    else if (t.key.cls == ids.sort) ++cc.sorts;
-    else if (t.key.cls == ids.write) ++cc.writes;
+    if (key.cls == ids.read_a) ++cc.reads_a;
+    else if (key.cls == ids.read_b) ++cc.reads_b;
+    else if (key.cls == ids.dfill) ++cc.dfills;
+    else if (key.cls == ids.gemm) ++cc.gemms;
+    else if (key.cls == ids.reduce) ++cc.reduces;
+    else if (key.cls == ids.sort) ++cc.sorts;
+    else if (key.cls == ids.write) {
+      ++cc.writes;
+      writes[l1].push_back(id);
+    }
   }
   if (foreign > 0) {
     diags.push_back({"MPT005",
@@ -106,26 +117,23 @@ std::vector<Diag> verify_tce_graph(const tce::ChainPlan& plan,
         (!var.parallel_writes && var.parallel_sorts)
             ? static_cast<int>(arms)
             : 1;
-    for (const GraphTask& t : graph.tasks) {
-      if (t.key.cls != ids.write || t.key.p[0] != ch.id) continue;
-      if (t.num_inputs != want_write_fanin) {
+    for (const int32_t id : writes[static_cast<size_t>(ch.id)]) {
+      if (graph.num_inputs(id) != want_write_fanin) {
         diags.push_back(
             {"MPT003",
-             "WRITE declares fan-in " + std::to_string(t.num_inputs) +
+             "WRITE declares fan-in " + std::to_string(graph.num_inputs(id)) +
                  " but the variant requires " +
                  std::to_string(want_write_fanin),
-             GraphModel::name_of(build.pool, t.key)});
+             graph.name_of(id)});
       }
     }
 
     // Every GEMM must be fed by its own READ_A/READ_B pair.
     for (const tce::GemmOp& g : ch.gemms) {
       const ptg::Params p = ptg::params_of(ch.id, g.l2);
-      const bool has_a =
-          graph.index.count(ptg::TaskKey{ids.read_a, p}) != 0;
-      const bool has_b =
-          graph.index.count(ptg::TaskKey{ids.read_b, p}) != 0;
-      const bool has_g = graph.index.count(ptg::TaskKey{ids.gemm, p}) != 0;
+      const bool has_a = keys.count(ptg::TaskKey{ids.read_a, p}) != 0;
+      const bool has_b = keys.count(ptg::TaskKey{ids.read_b, p}) != 0;
+      const bool has_g = keys.count(ptg::TaskKey{ids.gemm, p}) != 0;
       if (!has_a || !has_b || !has_g) {
         diags.push_back(
             {"MPT004",
@@ -142,9 +150,9 @@ std::vector<Diag> verify_tce_graph(const tce::ChainPlan& plan,
                       + want_dfills + want_reduces + want_sorts + want_writes;
   }
 
-  if (graph.tasks.size() != expected_total) {
+  if (static_cast<size_t>(graph.size()) != expected_total) {
     diags.push_back({"MPT005",
-                     "materialized " + std::to_string(graph.tasks.size()) +
+                     "materialized " + std::to_string(graph.size()) +
                          " tasks; plan + variant imply " +
                          std::to_string(expected_total),
                      ""});
@@ -159,11 +167,11 @@ VerifyReport verify_variant(const tce::ChainPlan& plan,
   rep.diags = verify_plan(plan);
 
   tce::PtgBuild build = tce::build_ptg(plan, stores, variant, nranks);
-  GraphModel graph = materialize_graph(build.pool, nranks);
-  rep.num_tasks = graph.tasks.size();
-  rep.num_edges = graph.num_edges;
+  const ptg::FlatGraph graph = ptg::FlatGraph::compile(build.pool, nranks);
+  rep.num_tasks = static_cast<size_t>(graph.size());
+  rep.num_edges = graph.num_edges();
 
-  auto gdiags = verify_graph(build.pool, graph);
+  auto gdiags = verify_graph(graph);
   rep.diags.insert(rep.diags.end(), gdiags.begin(), gdiags.end());
   auto tdiags = verify_tce_graph(plan, variant, build, graph);
   rep.diags.insert(rep.diags.end(), tdiags.begin(), tdiags.end());

@@ -33,14 +33,14 @@ struct VerifyReport {
   bool clean() const { return diags.empty(); }
 };
 
-/// TCE cross-checks only, on an already-materialized graph.
+/// TCE cross-checks only, on an already-compiled graph of `build`.
 std::vector<Diag> verify_tce_graph(const tce::ChainPlan& plan,
                                    const tce::VariantConfig& variant,
                                    const tce::PtgBuild& build,
-                                   const GraphModel& graph);
+                                   const ptg::FlatGraph& graph);
 
 /// Run every static pass for one variant: verify_plan + build_ptg +
-/// verify_graph + verify_tce_graph. This is what tools/mp-verify and the
+/// FlatGraph::compile + verify_graph + verify_tce_graph. This is what tools/mp-verify and the
 /// analysis-label tests call per variant/workload.
 VerifyReport verify_variant(const tce::ChainPlan& plan,
                             const tce::StoreList& stores,

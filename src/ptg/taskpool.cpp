@@ -49,10 +49,11 @@ DataBuf TaskCtx::take_input(int slot) {
 
 void TaskCtx::set_output(int slot, DataBuf buf) {
   MP_REQUIRE(slot >= 0 && slot < 128, "TaskCtx::set_output: bad slot");
-  if (outputs_.size() <= static_cast<size_t>(slot)) {
-    outputs_.resize(static_cast<size_t>(slot) + 1);
+  std::vector<DataBuf>& outs = *outputs_;
+  if (outs.size() <= static_cast<size_t>(slot)) {
+    outs.resize(static_cast<size_t>(slot) + 1);
   }
-  outputs_[static_cast<size_t>(slot)] = std::move(buf);
+  outs[static_cast<size_t>(slot)] = std::move(buf);
 }
 
 int16_t Taskpool::add_class(TaskClass tc) {

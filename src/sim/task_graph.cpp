@@ -29,8 +29,8 @@ SimGraph build_graph(const tce::ChainPlan& plan, const GraphOptions& opts) {
   MP_REQUIRE(opts.nodes >= 1, "build_graph: need >= 1 node");
   const tce::VariantConfig& var = opts.variant;
   const tce::PtgBuild b = tce::build_ptg(plan, var, opts.nodes);
-  analysis::GraphModel m = analysis::materialize_graph(b.pool, opts.nodes);
-  const auto diags = analysis::verify_graph(b.pool, m);
+  const ptg::FlatGraph m = ptg::FlatGraph::compile(b.pool, opts.nodes);
+  const auto diags = analysis::verify_graph(m);
   MP_REQUIRE(diags.empty(),
              "build_graph: task graph failed static verification; " +
                  analysis::render(diags));
@@ -40,20 +40,22 @@ SimGraph build_graph(const tce::ChainPlan& plan, const GraphOptions& opts) {
                                    opts.nodes};
   SimGraph g;
   g.nodes = opts.nodes;
-  g.tasks.resize(m.tasks.size());
-  for (size_t i = 0; i < m.tasks.size(); ++i) {
-    analysis::GraphTask& mt = m.tasks[i];
-    SimTask& t = g.tasks[i];
-    t.id = static_cast<int32_t>(i);
-    t.node = mt.owner;
-    t.l1 = mt.key.p[0];
-    t.l2 = mt.key.p[1];
-    t.ndeps = mt.num_inputs;
-    t.succs = std::move(mt.succ);
+  g.tasks.resize(static_cast<size_t>(m.size()));
+  for (int32_t id = 0; id < m.size(); ++id) {
+    const ptg::TaskKey& key = m.key(id);
+    SimTask& t = g.tasks[static_cast<size_t>(id)];
+    t.id = id;
+    t.node = m.owner(id);
+    t.l1 = key.p[0];
+    t.l2 = key.p[1];
+    t.ndeps = m.num_inputs(id);
+    const auto succs = m.successors(id);
+    t.succs.reserve(succs.size());
+    for (const ptg::FlatGraph::Edge& e : succs) t.succs.push_back(e.consumer);
 
     const tce::Chain& ch = plan.chains[static_cast<size_t>(t.l1)];
     const double c_bytes = 8.0 * static_cast<double>(ch.c_elems());
-    const int16_t cls = mt.key.cls;
+    const int16_t cls = key.cls;
     int offset = 0;
     if (cls == ids.read_a || cls == ids.read_b) {
       const tce::GemmOp& go = ch.gemms[static_cast<size_t>(t.l2)];

@@ -29,7 +29,8 @@ PtgSession::PtgSession(vc::Cluster& cluster, std::shared_ptr<PtgTemplate> tpl,
   for (int r = 0; r < n; ++r) {
     rctxs_.push_back(std::make_unique<vc::RankCtx>(&cluster_, r));
     ctxs_.push_back(
-        std::make_unique<ptg::Context>(*rctxs_.back(), tpl_->pool(), ropts));
+        std::make_unique<ptg::Context>(*rctxs_.back(), tpl_->pool(),
+                                       tpl_->graph(), ropts));
   }
   drivers_.reserve(static_cast<size_t>(n));
   for (int r = 0; r < n; ++r) {

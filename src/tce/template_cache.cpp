@@ -60,6 +60,8 @@ PtgTemplate::PtgTemplate(TemplateKey key, ChainPlan plan,
   // storage — which is exactly the lifetime fix for build_ptg's documented
   // capture-by-reference footgun.
   build_ = build_ptg(*plan_, *stores_, variant_, key_.nranks);
+  graph_ = std::make_shared<const ptg::FlatGraph>(
+      ptg::FlatGraph::compile(build_.pool, key_.nranks));
 }
 
 bool PtgTemplate::rebind(const StoreList& stores) {
@@ -119,13 +121,16 @@ std::shared_ptr<PtgTemplate> TemplateCache::get_or_build(
       ++stats_.misses;
       if (analysis::env_verify_enabled()) {
         ++stats_.verifies_run;
-        const auto diags = analysis::verify_graph(fresh->pool(), key.nranks);
+        const auto diags = analysis::verify_graph(*fresh->graph());
         if (!diags.empty()) {
           throw StateError(
               "MP_VERIFY: cached PTG template failed static verification; " +
               analysis::render(diags));
         }
       }
+      // Without MP_VERIFY a graph the runtime could not run is still
+      // refused here, before any session is built over it.
+      fresh->graph()->require_placeable("TemplateCache");
       map_.emplace(key, fresh);
       return fresh;
     }

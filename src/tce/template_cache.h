@@ -9,9 +9,12 @@
 // build_ptg capture-by-reference lifetime footgun: the template's lambdas
 // capture storage the template itself owns.
 //
-// The mp-verify static verifier runs once per template (at build, when
-// MP_VERIFY is set) instead of once per submission; Contexts running a
-// cached template skip their own pass via Options::assume_verified.
+// The template also owns the graph's one compiled form (ptg::FlatGraph):
+// built once with the template, shared read-only by every Context of every
+// session over it. The mp-verify static verifier runs once per template (at
+// build, when MP_VERIFY is set) on that same graph instead of once per
+// submission; Contexts running a cached template skip their own pass via
+// Options::assume_verified.
 #pragma once
 
 #include <atomic>
@@ -21,6 +24,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "ptg/flat_graph.h"
 #include "tce/chain_plan.h"
 #include "tce/ptg_build.h"
 #include "tce/storage.h"
@@ -66,6 +70,9 @@ struct TemplateKeyHash {
 /// built against (same shapes, same GA extent, hence same placement).
 class PtgTemplate {
  public:
+  /// Builds the taskpool and compiles it for key.nranks ranks. A graph the
+  /// compile cannot place (MPV002-MPV005) is kept with its findings: the
+  /// cache refuses to publish it and a Context refuses to run it.
   PtgTemplate(TemplateKey key, ChainPlan plan, const StoreList& stores,
               const VariantConfig& variant);
 
@@ -77,6 +84,11 @@ class PtgTemplate {
   const VariantConfig& variant() const { return variant_; }
   const ptg::Taskpool& pool() const { return build_.pool; }
   const PtgClassIds& ids() const { return build_.ids; }
+  /// The pool compiled for key().nranks ranks; every Context running this
+  /// template shares it.
+  const std::shared_ptr<const ptg::FlatGraph>& graph() const {
+    return graph_;
+  }
   const StoreList& stores() const { return *stores_; }
 
   /// Point the owned StoreList at this submission's tensors. Must not race
@@ -100,6 +112,7 @@ class PtgTemplate {
   std::unique_ptr<StoreList> stores_;
   VariantConfig variant_;
   PtgBuild build_;
+  std::shared_ptr<const ptg::FlatGraph> graph_;
   std::atomic<uint64_t> rebinds_{0};
 };
 
@@ -118,8 +131,10 @@ class TemplateCache {
   };
 
   /// Return the template for `key`, building (and, when MP_VERIFY is set,
-  /// verifying — throws StateError on diagnostics and caches nothing) on
-  /// first use. A template enters the cache only after it verified, so no
+  /// verifying its compiled graph — throws StateError on diagnostics and
+  /// caches nothing) on first use. Without MP_VERIFY, a graph the compile
+  /// cannot place (MPV002-MPV005) raises InvalidArgument and is not cached
+  /// either. A template enters the cache only after it verified, so no
   /// call ever returns an unverified one. On a hit the plan/variant
   /// arguments are ignored; on every call the template is re-bound to
   /// `stores`.

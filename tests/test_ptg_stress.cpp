@@ -330,7 +330,7 @@ TEST(SchedulerConcurrency, SizeIsLockFreeUnderConcurrentPushPop) {
       for (int i = 0; i < kPerWorker; ++i) {
         t.priority = i & 15;
         t.seq = static_cast<uint64_t>(w * kPerWorker + i);
-        t.key = TaskKey{0, params_of(w, i)};
+        t.id = w * kPerWorker + i;
         sched.push(t, w);
         ReadyTask out;
         if ((i & 3) == 0 && sched.try_pop(out, w)) {

@@ -172,21 +172,21 @@ TEST(TaskGraph, TasksCarryTheirRuntimeClassesPriorityAndKind) {
         opts.nodes = nodes;
         const auto g = build_graph(*plan, opts);
         const auto b = tce::build_ptg(*plan, v, nodes);
-        const auto m = analysis::materialize_graph(b.pool, nodes);
-        ASSERT_EQ(g.tasks.size(), m.tasks.size());
+        const auto m = ptg::FlatGraph::compile(b.pool, nodes);
+        ASSERT_EQ(g.tasks.size(), static_cast<size_t>(m.size()));
         for (size_t i = 0; i < g.tasks.size(); ++i) {
           const SimTask& st = g.tasks[i];
-          const auto& mt = m.tasks[i];
-          const ptg::TaskClass& c = b.pool.cls(mt.key.cls);
+          const auto id = static_cast<int32_t>(i);
+          const ptg::TaskClass& c = b.pool.cls(m.key(id).cls);
           const std::string where = std::string(name) + " " + v.name +
                                     " h=" +
                                     std::to_string(v.segment_height) +
                                     " nodes=" + std::to_string(nodes) +
                                     " " + c.name;
           ASSERT_EQ(c.name.rfind(to_string(st.kind), 0), 0u) << where;
-          ASSERT_EQ(st.node, mt.owner) << where;
+          ASSERT_EQ(st.node, m.owner(id)) << where;
           if (c.priority) {
-            ASSERT_EQ(st.priority, c.priority(mt.key.p)) << where;
+            ASSERT_EQ(st.priority, c.priority(m.key(id).p)) << where;
           } else {
             ASSERT_LT(st.priority, 1.0) << where;  // pseudo-random order
           }

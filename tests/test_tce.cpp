@@ -13,9 +13,11 @@
 #include <latch>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "cc/integration.h"
 #include "ga/global_array.h"
+#include "ptg/flat_graph.h"
 #include "support/rng.h"
 #include "tce/block_tensor.h"
 #include "tce/imbalance.h"
@@ -25,6 +27,7 @@
 #include "tce/ptg_exec.h"
 #include "tce/ptg_session.h"
 #include "tce/reference_exec.h"
+#include "tce/template_cache.h"
 #include "tce/tiles.h"
 #include "tce/variants.h"
 #include "vc/cluster.h"
@@ -537,6 +540,181 @@ TEST(GoldenGraphs, V1ToV5AreUnchangedOnThreeRanks) {
           << c.name << " " << variants[i].name;
     }
   }
+}
+
+// --- the compiled graph is the description, evaluated once ---
+
+/// Every task of `g` against the TaskClass functions of `pool`: ids in
+/// (rank, class, enumerate_rank) order, key, owner, input and output
+/// counts, priority, the startup lists, and the out-edges (consumer id,
+/// input slot, output slot) in route_outputs() order, with the last edge
+/// of each output marked as its last use.
+void expect_graph_is_the_description(const ptg::Taskpool& pool,
+                                     const ptg::FlatGraph& g, int nranks,
+                                     const std::string& where) {
+  ASSERT_TRUE(g.placeable()) << where;
+  ASSERT_EQ(g.nranks(), nranks) << where;
+  std::unordered_map<ptg::TaskKey, int32_t, ptg::TaskKeyHash> ids;
+  for (int32_t id = 0; id < g.size(); ++id) ids.emplace(g.key(id), id);
+  ASSERT_EQ(ids.size(), static_cast<size_t>(g.size())) << where;
+  int32_t id = 0;
+  size_t edges = 0;
+  std::vector<ptg::OutRoute> routes;
+  for (int r = 0; r < nranks; ++r) {
+    ASSERT_EQ(g.rank_begin(r), id) << where;
+    std::vector<int32_t> startup;
+    for (size_t ci = 0; ci < pool.num_classes(); ++ci) {
+      const ptg::TaskClass& c = pool.cls(static_cast<int16_t>(ci));
+      for (const ptg::Params& p : c.enumerate_rank(r)) {
+        ASSERT_LT(id, g.size()) << where;
+        const std::string at = where + " " + g.name_of(id);
+        ASSERT_EQ(g.key(id), (ptg::TaskKey{c.cls, p})) << at;
+        EXPECT_EQ(g.owner(id), r) << at;
+        EXPECT_EQ(g.owner(id), c.rank_of(p)) << at;
+        EXPECT_EQ(g.num_inputs(id), c.num_task_inputs(p)) << at;
+        EXPECT_EQ(g.num_outputs(id), c.num_outputs ? c.num_outputs(p) : -1)
+            << at;
+        EXPECT_EQ(std::bit_cast<uint64_t>(g.task_priority(id)),
+                  std::bit_cast<uint64_t>(c.priority ? c.priority(p) : 0.0))
+            << at;
+        if (c.num_task_inputs(p) == 0) startup.push_back(id);
+        routes.clear();
+        if (c.route_outputs) c.route_outputs(p, routes);
+        const auto succ = g.successors(id);
+        ASSERT_EQ(succ.size(), routes.size()) << at;
+        std::vector<std::array<int, 3>> want, got;
+        for (size_t e = 0; e < routes.size(); ++e) {
+          const ptg::OutRoute& rt = routes[e];
+          want.push_back({ids.at(rt.consumer), rt.in_slot, rt.out_slot});
+          got.push_back({succ[e].consumer, succ[e].in_slot, succ[e].out_slot});
+          const bool used_later = std::any_of(
+              routes.begin() + static_cast<std::ptrdiff_t>(e) + 1,
+              routes.end(), [&](const ptg::OutRoute& later) {
+                return later.out_slot == rt.out_slot;
+              });
+          EXPECT_EQ(succ[e].last_use, !used_later) << at << " edge " << e;
+        }
+        EXPECT_EQ(got, want) << at;
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << at;
+        edges += routes.size();
+        ++id;
+      }
+    }
+    EXPECT_EQ(g.rank_end(r), id) << where;
+    const auto su = g.startup(r);
+    EXPECT_EQ(std::vector<int32_t>(su.begin(), su.end()), startup) << where;
+  }
+  EXPECT_EQ(id, g.size()) << where;
+  EXPECT_EQ(g.num_edges(), edges) << where;
+}
+
+// The compile evaluates build_ptg's description exactly: v1-v5 and v5 with
+// chain segments of 2 and 3 GEMMs, on t2_7, the hh ladder, the fused plan
+// and a skewed plan, at 1, 2 and 3 ranks.
+TEST(FlatGraph, MatchesTheDescription) {
+  PlanFixture fx;
+  BlockTensor4 w(fx.space, {RangeKind::kOcc, RangeKind::kOcc,
+                            RangeKind::kOcc, RangeKind::kOcc});
+  const ChainPlan hh = inspect_hh_ladder(fx.space, {&w, &fx.t, &fx.r});
+  const ChainPlan fused = fuse_plans(fx.plan, hh, {3, 1, 2});
+  ImbalanceSpec imb;
+  imb.nranks = 3;
+  imb.zipf_alpha = 2.0;
+  const ChainPlan skewed = make_skewed_plan(fx.plan, imb);
+  std::vector<VariantConfig> variants = VariantConfig::all();
+  for (const int h : {2, 3}) {
+    VariantConfig v = VariantConfig::v5();
+    v.segment_height = h;
+    variants.push_back(v);
+  }
+  const std::pair<const char*, const ChainPlan*> plans[] = {
+      {"t2_7", &fx.plan}, {"hh_ladder", &hh}, {"fused", &fused},
+      {"skewed", &skewed}};
+  for (const auto& [name, plan] : plans) {
+    for (const VariantConfig& var : variants) {
+      for (const int nranks : {1, 2, 3}) {
+        const PtgBuild b = build_ptg(*plan, var, nranks);
+        const std::string where = std::string(name) + " " +
+                                  variant_signature(var) + " nranks=" +
+                                  std::to_string(nranks);
+        expect_graph_is_the_description(
+            b.pool, ptg::FlatGraph::compile(b.pool, nranks), nranks, where);
+      }
+    }
+  }
+}
+
+// One worker runs ready tasks in strict (priority, sequence) order, so the
+// execution order of the small t2_7 v5 graph on one rank is a function of
+// the order in which tasks become ready. Recorded from the trace of the
+// symbolic runtime, before tasks were compiled: the startup batch and the
+// per-task successor batches keep that order.
+TEST(FlatGraph, OneWorkerRunsTheRecordedSchedule) {
+  PlanFixture fx;
+  vc::Cluster cluster(1);
+  ga::GlobalArray v_ga(&cluster, fx.v.ga_size());
+  ga::GlobalArray t_ga(&cluster, fx.t.ga_size());
+  ga::GlobalArray r_ga(&cluster, fx.r.ga_size());
+  const StoreList stores = {{&fx.v, &v_ga}, {&fx.t, &t_ga}, {&fx.r, &r_ga}};
+  PtgExecOptions opts;
+  opts.variant = VariantConfig::v5();
+  opts.workers_per_rank = 1;
+  opts.enable_tracing = true;
+  cluster.run([&](vc::RankCtx& rctx) {
+    const PtgExecResult res = execute_ptg(rctx, fx.plan, stores, opts);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](int64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xffULL;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    size_t tasks = 0;
+    for (const ptg::TraceEvent& e : res.trace.events()) {
+      if (e.is_comm) continue;
+      ++tasks;
+      mix(e.cls);
+      for (const int32_t x : e.p) mix(x);
+    }
+    EXPECT_EQ(tasks, 3960u);
+    EXPECT_EQ(h, 14184915423703483685u);
+  });
+}
+
+// A template whose graph the compile cannot place (two GEMMs of a chain
+// claim the same position, so the GEMM instance is enumerated twice:
+// MPV002) is refused with InvalidArgument and never cached, also without
+// MP_VERIFY.
+TEST(FlatGraph, TemplateCacheRefusesWhatTheCompileCannotPlace) {
+  PlanFixture fx;
+  ChainPlan bad = fx.plan;
+  for (Chain& ch : bad.chains) {
+    if (ch.gemms.size() >= 2) {
+      ch.gemms[1].l2 = ch.gemms[0].l2;
+      break;
+    }
+  }
+  vc::Cluster cluster(2);
+  ga::GlobalArray v_ga(&cluster, fx.v.ga_size());
+  ga::GlobalArray t_ga(&cluster, fx.t.ga_size());
+  ga::GlobalArray r_ga(&cluster, fx.r.ga_size());
+  const StoreList stores = {{&fx.v, &v_ga}, {&fx.t, &t_ga}, {&fx.r, &r_ga}};
+  TemplateKey key;
+  key.subroutine = "t2_7";
+  key.tile_fingerprint = fingerprint_tile_space(fx.space.spec());
+  key.variant = variant_signature(VariantConfig::v5());
+  key.nranks = cluster.nranks();
+  TemplateCache cache;
+  try {
+    cache.get_or_build(key, bad, stores, VariantConfig::v5());
+    ADD_FAILURE() << "an unplaceable template was handed out";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("MPV002"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 // --- chain segments of h GEMMs run on the runtime ---

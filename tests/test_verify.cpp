@@ -167,15 +167,20 @@ TEST(VerifyClean, GraphWithoutStoresVerifiesButCannotRun) {
   for (const auto& var : tce::VariantConfig::all()) {
     const auto with = tce::build_ptg(w.plan, w.stores, var, 3);
     const auto bare = tce::build_ptg(w.plan, var, 3);
-    const auto g_with = analysis::materialize_graph(with.pool, 3);
-    const auto g_bare = analysis::materialize_graph(bare.pool, 3);
-    ASSERT_EQ(g_bare.tasks.size(), g_with.tasks.size()) << var.name;
-    for (size_t i = 0; i < g_bare.tasks.size(); ++i) {
-      EXPECT_EQ(g_bare.tasks[i].key, g_with.tasks[i].key) << var.name;
-      EXPECT_EQ(g_bare.tasks[i].owner, g_with.tasks[i].owner) << var.name;
-      EXPECT_EQ(g_bare.tasks[i].succ, g_with.tasks[i].succ) << var.name;
+    const auto g_with = ptg::FlatGraph::compile(with.pool, 3);
+    const auto g_bare = ptg::FlatGraph::compile(bare.pool, 3);
+    ASSERT_EQ(g_bare.size(), g_with.size()) << var.name;
+    for (int32_t i = 0; i < g_bare.size(); ++i) {
+      EXPECT_EQ(g_bare.key(i), g_with.key(i)) << var.name;
+      EXPECT_EQ(g_bare.owner(i), g_with.owner(i)) << var.name;
+      const auto sb = g_bare.successors(i);
+      const auto sw = g_with.successors(i);
+      ASSERT_EQ(sb.size(), sw.size()) << var.name;
+      for (size_t e = 0; e < sb.size(); ++e) {
+        EXPECT_EQ(sb[e].consumer, sw[e].consumer) << var.name;
+      }
     }
-    const auto diags = analysis::verify_graph(bare.pool, g_bare);
+    const auto diags = analysis::verify_graph(g_bare);
     EXPECT_TRUE(diags.empty()) << var.name << ":\n" << analysis::render(diags);
   }
   const auto bare = tce::build_ptg(w.plan, tce::VariantConfig::v5(), 3);
@@ -330,7 +335,7 @@ TEST(VerifyNegative, BadReductionFanInIsMPT001) {
     std::erase(out, victim);
     return out;
   };
-  const auto graph = analysis::materialize_graph(build.pool, 3);
+  const auto graph = ptg::FlatGraph::compile(build.pool, 3);
   const auto diags = analysis::verify_tce_graph(w.plan, var, build, graph);
   EXPECT_TRUE(has_code(diags, "MPT001")) << analysis::render(diags);
 }

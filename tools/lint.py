@@ -76,6 +76,15 @@ Checks, each with a stable rule id:
                          ones as shared message segments; any other call
                          site would bring back a bulk copy of task data
                          on the data plane.
+  symbolic-call-on-hot-path No call of a TaskClass's symbolic description
+                         (`.rank_of(`, `.priority(`, `.num_task_inputs(`,
+                         `.num_outputs(`, `.route_outputs(`,
+                         `.enumerate_rank(`) in src/ptg/context.cpp. The
+                         runtime runs the compiled graph (ptg::FlatGraph):
+                         only the compile evaluates the description, once
+                         per template, and the per-task path calls a
+                         class's body (and, after a rank death, its
+                         recovery hooks) and nothing else.
 
 Exit status: 0 clean, 1 findings, 2 internal error.
 Usage: tools/lint.py [--tidy] [paths...]   (default: src/ bench/)
@@ -114,6 +123,10 @@ BULK_COPY_RE = re.compile(r"(?:\.|->)\s*((?:put|get)_doubles)\s*\(")
 CODEC_FILE = "src/ptg/context.cpp"
 CODEC_FNS = ("encode_buf", "decode_buf")
 CODEC_DEF_RE = re.compile(r"\b(encode_buf|decode_buf)\s*\([^;{]*\)\s*\{")
+RUNTIME_FILE = "src/ptg/context.cpp"
+SYMBOLIC_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(rank_of|priority|num_task_inputs|num_outputs|"
+    r"route_outputs|enumerate_rank)\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -198,7 +211,13 @@ def lint_file(path, findings):
     if in_src:
         lint_bulk_copies(rel, text, code, findings)
 
-    if str(rel) == "src/ptg/context.cpp":
+    if str(rel) == RUNTIME_FILE:
+        for m in SYMBOLIC_CALL_RE.finditer(code):
+            findings.append(
+                (rel, line_of(text, m.start()), "symbolic-call-on-hot-path",
+                 f"`{m.group(1)}(` evaluates the symbolic description in "
+                 "the runtime; read the compiled graph (ptg::FlatGraph) "
+                 "instead"))
         lint_reset_stats(path, rel, text, code, findings)
         if lint_tag_switches(rel, text, code, findings) == 0:
             findings.append(

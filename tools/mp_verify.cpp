@@ -230,8 +230,8 @@ int main(int argc, char** argv) {
     for (const int tiles : {2, 4, 6}) {
       ++combos;
       const ptg::Taskpool pool = apps::build_cholesky_pool(tiles, nranks);
-      const analysis::GraphModel g = analysis::materialize_graph(pool, nranks);
-      const std::vector<analysis::Diag> diags = analysis::verify_graph(pool, g);
+      const ptg::FlatGraph g = ptg::FlatGraph::compile(pool, nranks);
+      const std::vector<analysis::Diag> diags = analysis::verify_graph(g);
       const std::string name = "cholesky/T" + std::to_string(tiles);
       if (!diags.empty()) {
         ++failures;
@@ -241,7 +241,8 @@ int main(int argc, char** argv) {
         std::printf("%s", analysis::render(diags).c_str());
       } else if (!quiet) {
         std::printf("ok   %-16s %-3s nranks=%d: %zu tasks, %zu edges\n",
-                    name.c_str(), "ptg", nranks, g.tasks.size(), g.num_edges);
+                    name.c_str(), "ptg", nranks, static_cast<size_t>(g.size()),
+                    g.num_edges());
       }
     }
   }
