@@ -7,14 +7,12 @@
 
 namespace mp::ptg {
 
-namespace {
-
-/// Heap order: true when `a` runs after `b` (lower priority, or the same
-/// priority and pushed later), so the heap's front is the task to run next.
 bool runs_after(const ReadyTask& a, const ReadyTask& b) {
   if (a.priority != b.priority) return a.priority < b.priority;
   return a.seq > b.seq;
 }
+
+namespace {
 
 /// Locks `mu`, counting acquisitions that had to block in `contended`.
 std::unique_lock<std::mutex> counted_lock(std::mutex& mu,
@@ -55,23 +53,14 @@ void Scheduler::push(ReadyTask t, int worker) {
   MP_ANNOTATE_CHANNEL_SEND(&h);
 }
 
-void Scheduler::push_batch(std::vector<ReadyTask>&& ts, int worker) {
-  if (ts.empty()) return;
-  // A worker keeps the whole batch; otherwise task i goes to heap first + i.
-  const size_t heaps = worker >= 0 ? 1 : std::min(ts.size(), heaps_.size());
-  const size_t first = first_heap(worker, ts.size());
-  for (size_t j = 0; j < heaps; ++j) {
-    Heap& h = heaps_[(first + j) % heaps_.size()];
-    auto lock = counted_lock(h.mu, contended_pushes_);
-    size_t added = 0;
-    for (size_t i = j; i < ts.size(); i += heaps, ++added) {
-      h.tasks.push_back(std::move(ts[i]));
-      std::push_heap(h.tasks.begin(), h.tasks.end(), runs_after);
-    }
-    size_.fetch_add(added, std::memory_order_release);
-    MP_ANNOTATE_CHANNEL_SEND(&h);
-  }
-  ts.clear();
+std::unique_lock<std::mutex> Scheduler::lock_for_push(Heap& h) {
+  return counted_lock(h.mu, contended_pushes_);
+}
+
+void Scheduler::pushed([[maybe_unused]] Heap& h, size_t added) {
+  // Counted under the heap lock, like push().
+  size_.fetch_add(added, std::memory_order_release);
+  MP_ANNOTATE_CHANNEL_SEND(&h);
 }
 
 bool Scheduler::pop_from(Heap& h, ReadyTask& out) {
