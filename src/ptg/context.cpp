@@ -72,6 +72,14 @@ void encode_buf(vc::WireWriter& w, std::vector<DataBuf>& segments,
   }
 }
 
+/// Header bytes encode_buf writes for `buf`, untagged (a tagged buffer
+/// adds its tag byte): the count and the doubles when inline, nothing for
+/// a segment.
+size_t encoded_size(const DataBuf& buf) {
+  if (!buf || buf->size() > Context::kEagerLimit) return 0;
+  return sizeof(uint64_t) + buf->size() * sizeof(double);
+}
+
 /// Inverse of encode_buf. Segments are moved out of `segments` (so the
 /// consumer can end up holding the only handle); `next` counts the ones
 /// consumed so far.
@@ -132,12 +140,21 @@ struct InputState {
   std::unique_ptr<DataBuf[]> slots;
 };
 
-/// Per-worker scratch reused from task to task, so the local hot path
-/// allocates nothing once the vectors have grown: the successors a task
-/// completes, and its outputs.
+/// Per-worker state on the worker's own cache line: the scratch vectors
+/// reused from task to task (the successors a task completes, and its
+/// outputs), so the local hot path allocates nothing once they have grown,
+/// and the worker's task counters. Only the worker writes the counters,
+/// with plain stores; the idle-time completion check, the comm thread and
+/// the stats accessors sum them.
 struct alignas(64) WorkerScratch {
   std::vector<ReadyTask> batch;
   std::vector<DataBuf> outputs;
+  /// Own (or adopted) tasks this worker executed. Release store, acquire
+  /// sum: a sum that counts an adopted task also sees the `expected`
+  /// growth that preceded its adoption.
+  std::atomic<uint64_t> executed{0};
+  /// 1 while the worker runs a task (watchdog and steal agent).
+  std::atomic<uint32_t> active{0};
 };
 
 /// A task migrated out whose completion credit has not arrived. Under
@@ -209,9 +226,26 @@ struct Context::Submission {
 
   /// Everything the watchdog counts as forward progress.
   uint64_t progress_mark() const {
-    return progress.load(std::memory_order_relaxed) +
-           executed.load(std::memory_order_relaxed) +
+    return progress.load(std::memory_order_relaxed) + executed() +
            st_credits_sent.load(std::memory_order_relaxed);
+  }
+
+  /// Own (and adopted) tasks executed on this rank: the sum of the
+  /// per-worker counts.
+  uint64_t executed() const {
+    uint64_t n = 0;
+    for (const WorkerScratch& ws : scratch) {
+      n += ws.executed.load(std::memory_order_acquire);
+    }
+    return n;
+  }
+
+  /// Some worker is running a task.
+  bool any_active() const {
+    for (const WorkerScratch& ws : scratch) {
+      if (ws.active.load(std::memory_order_relaxed) != 0) return true;
+    }
+    return false;
   }
 
   /// Seconds since this run's trace epoch.
@@ -253,8 +287,6 @@ struct Context::Submission {
   /// Own task instances plus instances adopted from dead ranks. Atomic:
   /// recovery (comm thread) grows it while workers compare against it.
   std::atomic<uint64_t> expected{0};
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> seq{0};
   std::atomic<bool> done{false};
   std::atomic<bool> comm_stop{false};
 
@@ -267,13 +299,14 @@ struct Context::Submission {
 
   std::mutex out_mu;
   std::deque<vc::Message> outbox;
+  /// Activations the comm thread shipped (it alone writes this).
   std::atomic<uint64_t> remote_sent{0};
 
   // Progress tracking for the watchdog: bumped on every outbound transfer
   // and every inbound message that moves work. Executed tasks count
-  // through `executed` and `st_credits_sent`, which the watchdog adds.
+  // through the per-worker counts and `st_credits_sent`, which the
+  // watchdog adds.
   std::atomic<uint64_t> progress{0};
-  std::atomic<int> active_workers{0};
 
   // Steal-protocol counters (see StealStats for the pairing discipline).
   std::atomic<uint64_t> st_requests_sent{0};
@@ -286,6 +319,16 @@ struct Context::Submission {
   std::atomic<uint64_t> st_credits_received{0};
   /// Latch: this rank's own work is complete (report sent / done set).
   std::atomic<bool> local_complete{false};
+  /// The completion check's ordering point (see maybe_local_complete), on
+  /// a cache line of its own so an idle worker's update does not evict
+  /// what busy workers read.
+  struct alignas(64) {
+    std::atomic<uint64_t> n{0};
+  } idle_sync;
+  /// Failure detection only: held by a completion check from its sums to
+  /// its report, and by handle_confirmed_death from publishing a death to
+  /// clearing the latch (see maybe_local_complete).
+  std::mutex complete_mu;
 
   // Rank 0's termination bookkeeping (guarded by term_mu; worker threads
   // may deliver rank 0's own report while the comm thread delivers peers').
@@ -393,15 +436,17 @@ Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool,
                    "' has no body (a pool built without tensor stores only "
                    "describes its graph)");
   }
+  startup_runs_ = StartupRuns(graph_->startup(rank()), graph_->priorities(),
+                              opts_.num_workers);
   sub_ = std::make_unique<Submission>(*this, 1, InputState{});
 }
 
 uint64_t Context::tasks_executed() const {
-  return sub_->executed.load() + sub_->st_credits_sent.load();
+  return sub_->executed() + sub_->st_credits_sent.load();
 }
 
 uint64_t Context::tasks_completed() const {
-  return sub_->executed.load() + sub_->st_credits_received.load();
+  return sub_->executed() + sub_->st_credits_received.load();
 }
 
 uint64_t Context::expected_tasks() const { return sub_->expected.load(); }
@@ -472,22 +517,6 @@ std::vector<analysis::Diag> Context::validate_plan() const {
   return analysis::verify_graph(*graph_);
 }
 
-void Context::enqueue_startup() {
-  Submission& sub = *sub_;
-  const FlatGraph& g = *graph_;
-  const std::span<const int32_t> ids = g.startup(rank());
-  const uint64_t seq = sub.seq.fetch_add(ids.size(), std::memory_order_relaxed);
-  // One batch, built in place in the heaps: round robin from heap 0,
-  // exactly as one push per task would land. The threads are still parked;
-  // arming the submission wakes them.
-  sub.sched.push_generated(
-      ids.size(),
-      [&](size_t i) {
-        return ReadyTask{g.task_priority(ids[i]), seq + i, ids[i], -1};
-      },
-      -1);
-}
-
 void Context::wake_one() {
   Submission& sub = *sub_;
   // Taking wake_mu orders this notify against a worker's predicate check,
@@ -505,8 +534,6 @@ void Context::wake_all() {
 void Context::publish(std::vector<ReadyTask>& batch, int worker) {
   if (batch.empty()) return;
   Submission& sub = *sub_;
-  uint64_t seq = sub.seq.fetch_add(batch.size(), std::memory_order_relaxed);
-  for (ReadyTask& t : batch) t.seq = seq++;
   const size_t n = batch.size();
   sub.sched.push_batch(std::move(batch), worker);
   // A worker publishing its own successors keeps one task for itself (it
@@ -544,6 +571,8 @@ void Context::deposit(int32_t id, int slot, DataBuf buf,
   }
   if (pending.load(std::memory_order_relaxed) <= 0 || in != nullptr) {
     if (ft) {
+      // A replay's duplicate, under failure detection only.
+      // mp-lint: allow(shared-rmw-on-task-path)
       sub.fs_dup_deposits_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -628,12 +657,12 @@ void Context::execute_task(const ReadyTask& t, int wid) {
     DataBuf buf = e.last_use ? std::move(outs[s]) : outs[s];
     // Under failure tolerance the consumer may live on a stand-in rank
     // (its home is confirmed dead); route to wherever it lives *now*.
-    const int dst =
-        failure_active() ? effective_rank(e.consumer) : g.owner(e.consumer);
+    const int dst = failure_active()
+                        ? route_recorded(e.consumer, e.in_slot, buf)
+                        : g.owner(e.consumer);
     if (dst == rank()) {
       deposit(e.consumer, e.in_slot, std::move(buf), ws.batch);
     } else {
-      if (failure_active()) record_lineage(dst, e.consumer, e.in_slot, buf);
       post_activation(dst, e.consumer, e.in_slot, std::move(buf));
     }
   }
@@ -647,6 +676,7 @@ void Context::execute_task(const ReadyTask& t, int wid) {
     // A migrated-in task: its completion belongs to the home rank's
     // termination count. Send a credit instead of counting it here.
     vc::WireWriter w;
+    w.reserve(sizeof(int64_t) + sizeof(int32_t));
     w.put<int64_t>(static_cast<int64_t>(sub.sched.size()));
     w.put<int32_t>(t.id);
     vc::Message m;
@@ -656,12 +686,16 @@ void Context::execute_task(const ReadyTask& t, int wid) {
     m.header = w.take();
     post(std::move(m));
     // Release after the migrated-in count it is bounded by (the bound was
-    // incremented before this task was even visible to pop).
+    // incremented before this task was even visible to pop). Only stolen
+    // tasks take this path.
+    // mp-lint: allow(shared-rmw-on-task-path)
     sub.st_credits_sent.fetch_add(1, std::memory_order_release);
     return;
   }
-  sub.executed.fetch_add(1, std::memory_order_acq_rel);
-  maybe_local_complete();
+  // Only this worker writes its count: a plain store. Completion is checked
+  // when a pop fails (worker_loop), not per task.
+  ws.executed.store(ws.executed.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
 }
 
 void Context::post(vc::Message m) {
@@ -681,6 +715,10 @@ void Context::post_activation(int dst, int32_t consumer, int slot,
   m.dst = dst;
   m.tag = kTagActivate;
   vc::WireWriter w;
+  // One allocation for the whole header: the load hint, the consumer, the
+  // slot and the buffer as encode_buf writes it.
+  w.reserve(sizeof(int64_t) + sizeof(int32_t) + sizeof(int8_t) +
+            encoded_size(buf));
   // Load hint piggybacked on every activation: receivers feed it to their
   // steal agent's victim selection.
   w.put<int64_t>(static_cast<int64_t>(sub.sched.size()));
@@ -689,11 +727,28 @@ void Context::post_activation(int dst, int32_t consumer, int slot,
   encode_buf(w, m.segments, std::move(buf), /*tagged=*/false);
   m.header = w.take();
   post(std::move(m));
-  sub.remote_sent.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Context::maybe_local_complete() {
   Submission& sub = *sub_;
+  // Every caller wrote its count (a worker's executed, the comm thread's
+  // credits or expected) before calling. This read-modify-write orders
+  // that write before the loads below, as a seq_cst fence would: of two
+  // threads that count the rank's last tasks at the same moment, each
+  // storing and then summing, the one whose update of `idle_sync` comes
+  // second acquires the other's release and sees both counts. (GCC 12
+  // rejects a standalone fence under -fsanitize=thread, and the sanitizer
+  // builds must run this very code.) Only idle workers, the comm thread and
+  // startup get here, never a task.
+  sub.idle_sync.n.fetch_add(1, std::memory_order_acq_rel);
+  // Under failure detection the check, the latch and the dead mask the
+  // report carries are one step against handle_confirmed_death, which
+  // publishes a death, grows expected by the adopted tasks and clears the
+  // latch under the same lock. Otherwise a check against the old expected
+  // could report completion under the new dead mask, and the coordinator
+  // would end the job while the adopted tasks still wait to run.
+  std::unique_lock<std::mutex> epoch;
+  if (failure_active()) epoch = std::unique_lock(sub.complete_mu);
   // Each own/adopted task bumps exactly one of executed /
   // st_credits_received (post-confirmation credits from a dead holder are
   // fenced before reaching the counter), so the sum is monotone; expected
@@ -702,7 +757,7 @@ void Context::maybe_local_complete() {
   // equality at the *old* value must not be mistaken for completion twice —
   // the latch below plus the epoch reset in handle_confirmed_death handle
   // re-reporting.
-  if (sub.executed.load(std::memory_order_acquire) +
+  if (sub.executed() +
           sub.st_credits_received.load(std::memory_order_acquire) <
       sub.expected.load(std::memory_order_acquire)) {
     return;
@@ -723,6 +778,7 @@ void Context::maybe_local_complete() {
     note_rank_done(0, mask);
   } else {
     vc::WireWriter w;
+    w.reserve(sizeof(uint64_t));
     w.put<uint64_t>(mask);
     rctx_.send(0, kTagLocalDone, w.take());
   }
@@ -790,9 +846,7 @@ void Context::steal_agent_tick(std::chrono::steady_clock::time_point now_tp) {
     // late reply, should it still arrive, is absorbed normally.
     sub.steal_outstanding = false;
   }
-  if (sub.sched.size() > 0 ||
-      sub.active_workers.load(std::memory_order_relaxed) > 0 ||
-      now_tp < sub.next_steal_at) {
+  if (sub.sched.size() > 0 || sub.any_active() || now_tp < sub.next_steal_at) {
     return;
   }
   // Victim selection: the best (largest) load hint heard so far, falling
@@ -827,6 +881,7 @@ void Context::steal_agent_tick(std::chrono::steady_clock::time_point now_tp) {
   sub.st_requests_sent.fetch_add(1, std::memory_order_relaxed);
   sub.steal_outstanding = true;
   vc::WireWriter w;
+  w.reserve(sizeof(int64_t));
   w.put<int64_t>(static_cast<int64_t>(sub.sched.size()));
   rctx_.send(victim, kTagStealRequest, w.take());
   sub.next_steal_at = now_tp + ms_to_us(opts_.steal_cooldown_ms);
@@ -868,6 +923,14 @@ void Context::serve_steal_request(const vc::Message& msg) {
   }
   vc::WireWriter w;
   std::vector<DataBuf> segments;
+  size_t bytes = sizeof(int64_t) + sizeof(uint32_t);
+  for (const ReadyTask& t : batch) {
+    bytes += sizeof(int32_t) + sizeof(double) + sizeof(uint32_t);
+    for (const DataBuf& in : sub.inputs_of(*graph_, t.id)) {
+      bytes += sizeof(uint8_t) + encoded_size(in);
+    }
+  }
+  w.reserve(bytes);
   w.put<int64_t>(static_cast<int64_t>(sub.sched.size()));
   w.put<uint32_t>(static_cast<uint32_t>(batch.size()));
   for (ReadyTask& t : batch) {
@@ -1016,12 +1079,15 @@ int Context::effective_rank(int32_t id) const {
   return home;
 }
 
-void Context::record_lineage(int dst, int32_t consumer, int slot,
-                             const DataBuf& buf) {
+int Context::route_recorded(int32_t consumer, int slot, const DataBuf& buf) {
   Submission& sub = *sub_;
   std::lock_guard lock(sub.lin_mu);
-  sub.lineage[static_cast<size_t>(dst)].push_back(
-      LineageEntry{consumer, static_cast<int8_t>(slot), buf});
+  const int dst = effective_rank(consumer);
+  if (dst != rank()) {
+    sub.lineage[static_cast<size_t>(dst)].push_back(
+        LineageEntry{consumer, static_cast<int8_t>(slot), buf});
+  }
+  return dst;
 }
 
 namespace {
@@ -1034,6 +1100,7 @@ constexpr uint8_t kProbeAnswer = 2;
 void Context::send_heartbeat(int dst, uint8_t flag) {
   Submission& sub = *sub_;
   vc::WireWriter w;
+  w.reserve(sizeof(int64_t) + sizeof(uint8_t));
   w.put<int64_t>(static_cast<int64_t>(sub.sched.size()));
   w.put<uint8_t>(flag);
   rctx_.send(dst, kTagHeartbeat, w.take());
@@ -1115,6 +1182,10 @@ void Context::escalate_failure(int dead, uint64_t lost_chains,
 
 void Context::handle_confirmed_death(int dead) {
   Submission& sub = *sub_;
+  // No completion check runs from the death's publication to the latch's
+  // reset below: a check sees either the old epoch whole (old mask, old
+  // expected) or the new one.
+  std::unique_lock epoch(sub.complete_mu);
   const uint64_t bit = 1ULL << dead;
   const uint64_t prev =
       sub.confirmed_dead_mask.fetch_or(bit, std::memory_order_acq_rel);
@@ -1230,13 +1301,12 @@ void Context::handle_confirmed_death(int dead) {
     replay.swap(sub.lineage[static_cast<size_t>(dead)]);
   }
   for (LineageEntry& e : replay) {
-    const int dst = effective_rank(e.consumer);
+    const int dst = route_recorded(e.consumer, e.slot, e.buf);
     sub.fs_lineage_replayed.fetch_add(1, std::memory_order_release);
     if (dst == rank()) {
       deposit(e.consumer, e.slot, std::move(e.buf), ready);
       continue;
     }
-    record_lineage(dst, e.consumer, e.slot, e.buf);
     post_activation(dst, e.consumer, e.slot, std::move(e.buf));
   }
 
@@ -1273,6 +1343,7 @@ void Context::handle_confirmed_death(int dead) {
   // now requires reports covering the new dead set). Re-enter the
   // completion protocol at the new epoch.
   sub.local_complete.store(false, std::memory_order_release);
+  epoch.unlock();
   if (rank() == 0) {
     bool broadcast = false;
     {
@@ -1289,21 +1360,27 @@ void Context::handle_confirmed_death(int dead) {
 
 void Context::worker_loop(int wid) {
   Submission& sub = *sub_;
+  std::atomic<uint32_t>& active = sub.scratch[static_cast<size_t>(wid)].active;
   ReadyTask t;
   while (true) {
     if (!sub.done.load(std::memory_order_acquire) &&
         sub.sched.try_pop(t, wid)) {
-      sub.active_workers.fetch_add(1, std::memory_order_relaxed);
+      active.store(1, std::memory_order_relaxed);
       try {
-        execute_task(std::move(t), wid);
+        execute_task(t, wid);
       } catch (...) {
-        sub.active_workers.fetch_sub(1, std::memory_order_relaxed);
+        active.store(0, std::memory_order_relaxed);
         record_error();
         return;
       }
-      sub.active_workers.fetch_sub(1, std::memory_order_relaxed);
+      active.store(0, std::memory_order_relaxed);
       continue;
     }
+    if (sub.done.load(std::memory_order_acquire)) return;
+    // The pop failed, so this worker may have counted the rank's last task,
+    // or seen a peer count it: check for completion before sleeping. A task
+    // does not check (or touch any shared counter) on its own.
+    maybe_local_complete();
     if (sub.done.load(std::memory_order_acquire)) return;
     // Block until woken: every push and every done transition notifies
     // while holding wake_mu, so an idle runtime is fully quiescent (no
@@ -1322,8 +1399,7 @@ double Context::watchdog_deadline_ms() const {
   // but is not stuck, and the base interval alone fires spuriously on
   // 1-worker configs running long GEMM chains.
   const uint64_t completed =
-      sub.executed.load(std::memory_order_relaxed) +
-      sub.st_credits_received.load(std::memory_order_relaxed);
+      sub.executed() + sub.st_credits_received.load(std::memory_order_relaxed);
   const uint64_t expected = sub.expected.load(std::memory_order_relaxed);
   const uint64_t outstanding = expected > completed ? expected - completed
                                                     : 0;
@@ -1378,7 +1454,7 @@ std::string Context::watchdog_dump() {
   os << "PTG watchdog: rank " << rank() << " made no progress for "
      << watchdog_deadline_ms() << " ms with tasks outstanding (" << likely
      << ")."
-     << " executed=" << sub.executed.load() << "/" << sub.expected.load()
+     << " executed=" << sub.executed() << "/" << sub.expected.load()
      << " pending_deposit_keys=" << pending_keys
      << " pending_deposits_arrived=" << pending_arrived
      << " ready_queue=" << sub.sched.size()
@@ -1436,8 +1512,10 @@ void Context::comm_loop() {
       if (!sub.sending.empty()) MP_ANNOTATE_CHANNEL_RECV(&sub.outbox);
     }
     const bool sent_any = !sub.sending.empty();
+    uint64_t activations = 0;
     for (vc::Message& m : sub.sending) {
       const double t0 = opts_.enable_tracing ? sub.now() : 0.0;
+      if (m.tag == kTagActivate) ++activations;
       rctx_.send(m.dst, m.tag, std::move(m.header), std::move(m.segments));
       if (opts_.enable_tracing) {
         sub.comm_events.push_back(
@@ -1446,6 +1524,7 @@ void Context::comm_loop() {
     }
     if (sent_any) {
       sub.progress.fetch_add(sub.sending.size(), std::memory_order_relaxed);
+      sub.remote_sent.fetch_add(activations, std::memory_order_relaxed);
       sub.sending.clear();
     }
 
@@ -1603,6 +1682,7 @@ void Context::comm_loop() {
           sub.local_complete.load(std::memory_order_acquire) &&
           now_tp >= sub.next_done_resend) {
         vc::WireWriter w;
+        w.reserve(sizeof(uint64_t));
         w.put<uint64_t>(
             sub.confirmed_dead_mask.load(std::memory_order_acquire));
         rctx_.send(0, kTagLocalDone, w.take());
@@ -1619,9 +1699,7 @@ void Context::comm_loop() {
         !sub.done.load(std::memory_order_acquire)) {
       const uint64_t p = sub.progress_mark();
       const auto now_tp = std::chrono::steady_clock::now();
-      if (p != watchdog_progress ||
-          sub.active_workers.load(std::memory_order_relaxed) > 0 ||
-          sub.sched.size() > 0) {
+      if (p != watchdog_progress || sub.any_active() || sub.sched.size() > 0) {
         watchdog_progress = p;
         watchdog_mark = now_tp;
       } else if (std::chrono::duration<double, std::milli>(
@@ -1866,7 +1944,9 @@ void Context::run_submission() {
     }
   }
 
-  enqueue_startup();
+  // Startup pushes nothing: each heap's cursor starts at its presorted run.
+  // The threads are still parked; arming the submission wakes them.
+  sub.sched.serve(startup_runs_);
   if (global_termination()) {
     // A rank with no own tasks is *locally* done immediately but must not
     // exit: it keeps serving the fabric (steal agent, failure detector)

@@ -45,8 +45,9 @@
 // between runs and are joined by the destructor.
 //
 // State is split by lifetime. The Context holds what outlives a run: the
-// rank, the taskpool and its compiled graph, the options, the threads with
-// their park/wake handshake and the lifecycle counters. Everything one run
+// rank, the taskpool and its compiled graph, the presorted startup runs,
+// the options, the threads with their park/wake handshake and the
+// lifecycle counters. Everything one run
 // creates and leaves behind — input slots and pending-input counts,
 // counters and termination latches, the error latch, the outbox, the
 // scheduler, steal and failure state, the trace buffers — lives in one
@@ -339,10 +340,9 @@ class Context {
   /// The state of one run (see the file comment); defined in context.cpp.
   struct Submission;
 
-  /// Push this rank's startup tasks as one batch, in the graph's order.
-  void enqueue_startup();
-  /// One full submission: verify (if due), enumerate, wake the parked
-  /// threads, execute as worker 0, wait for them to park again, unwind.
+  /// One full submission: verify (if due), serve the startup runs, wake
+  /// the parked threads, execute as worker 0, wait for them to park
+  /// again, unwind.
   void run_submission();
   /// Collective, between two run() calls, while all of this rank's threads
   /// are parked and after the previous run's closing barrier: snapshot and
@@ -383,9 +383,11 @@ class Context {
   bool global_termination() const {
     return stealing_active() || failure_active();
   }
-  /// Called whenever one of this rank's own tasks completes (locally or by
-  /// credit). Latches local completion exactly once: without stealing it
-  /// sets done_; with stealing it reports local-done towards rank 0.
+  /// Called by a worker whose pop failed, by the comm thread after a
+  /// credit or a death, and at startup. Sums the per-worker executed
+  /// counts after a seq_cst fence and latches local completion exactly
+  /// once: without stealing it sets done; with stealing it reports
+  /// local-done towards rank 0.
   void maybe_local_complete();
   /// Rank 0 only: record a rank's local-done report tagged with the
   /// sender's confirmed-dead mask; broadcasts JOB_DONE once every live rank
@@ -432,9 +434,13 @@ class Context {
   /// Encode one remote activation of task `consumer`'s input `slot` and
   /// post it.
   void post_activation(int dst, int32_t consumer, int slot, DataBuf buf);
-  /// Record one remote activation in the per-destination lineage log.
-  void record_lineage(int dst, int32_t consumer, int slot,
-                      const DataBuf& buf);
+  /// Failure detection only: the rank task `consumer` lives on now and, if
+  /// that is another rank, the activation's entry in its lineage log, both
+  /// in one lin_mu critical section. handle_confirmed_death publishes the
+  /// dead mask before it takes lin_mu to swap a log out, so an activation
+  /// is either in the swapped-out log (and replayed) or routed to the
+  /// stand-in.
+  int route_recorded(int32_t consumer, int slot, const DataBuf& buf);
   /// Effective watchdog deadline in ms, scaled by outstanding local work.
   double watchdog_deadline_ms() const;
   /// Wake one / all workers. The wake mutex is taken while notifying so a
@@ -449,8 +455,8 @@ class Context {
   /// one push_batch (see publish()).
   void deposit(int32_t id, int slot, DataBuf buf,
                std::vector<ReadyTask>& batch);
-  /// Stamp `batch` with consecutive sequence numbers, push it onto
-  /// `worker`'s heap (-1: round robin) and wake the workers it needs.
+  /// Push `batch` onto `worker`'s heap (-1: round robin) and wake the
+  /// workers it needs.
   void publish(std::vector<ReadyTask>& batch, int worker);
   void execute_task(const ReadyTask& t, int wid);
 
@@ -460,6 +466,9 @@ class Context {
   /// compiled by the constructor for a bare pool.
   std::shared_ptr<const FlatGraph> graph_;
   Options opts_;
+  /// This rank's startup ids, presorted once into one run per heap; every
+  /// Submission's scheduler serves them.
+  StartupRuns startup_runs_;
   /// The current run's state: built by the constructor, replaced by every
   /// later run() (reset_for_resubmission) while all threads are parked.
   std::unique_ptr<Submission> sub_;

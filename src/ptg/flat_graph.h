@@ -64,6 +64,8 @@ class FlatGraph {
   const TaskKey& key(int32_t id) const { return keys_[idx(id)]; }
   int owner(int32_t id) const { return info_[idx(id)].owner; }
   double task_priority(int32_t id) const { return priority_[idx(id)]; }
+  /// Every task's priority, indexed by id.
+  std::span<const double> priorities() const { return priority_; }
   int num_inputs(int32_t id) const { return info_[idx(id)].num_inputs; }
   /// Declared output count; -1 when the class has no num_outputs().
   int num_outputs(int32_t id) const { return info_[idx(id)].num_outputs; }

@@ -2,20 +2,29 @@
 // stealing, as in the paper's PaRSEC scheduler (§IV-C, §IV-D).
 //
 // Every worker owns a mutex-guarded binary heap ordered by priority
-// (highest first), then by the global insertion sequence (oldest first). A
-// worker pushes the successors it activates onto its own heap and pops from
-// it first. Pushes from other threads (startup enumeration, the comm
-// thread, steal replies, recovery re-pushes) go round-robin over the heaps.
-// A worker whose heap is empty takes the top of the next non-empty peer
-// heap. With one worker there is one heap, so a one-worker rank runs in
-// strict (priority, seq) order; with every priority equal that is FIFO,
-// exactly the paper's v2 behaviour.
+// (highest first), then by the heap's insertion sequence (oldest first).
+// A worker pushes the successors it activates onto its own heap and pops
+// from it first. Pushes from other threads (the comm thread, steal
+// replies, recovery re-pushes) go round-robin over the heaps. A worker
+// whose heap is empty takes the top of the next non-empty peer heap.
+//
+// A rank's startup tasks are not pushed at all. Each heap also serves a
+// presorted run of startup ids (StartupRuns), and every pop takes the
+// better of the heap's top and the run's head, the run winning ties: the
+// startup tasks were enqueued before any other task, so they are older.
+// With one worker there is one heap and one run, so a one-worker rank runs
+// in strict (priority, enqueue order) order; with every priority equal that
+// is FIFO, exactly the paper's v2 behaviour.
+//
+// Nothing here is written per task by more than one heap's lock holder:
+// each heap keeps its own task count and its own sequence numbers under its
+// lock, and each worker counts its own steals.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +37,9 @@ namespace mp::ptg {
 /// table for a task stolen from another rank).
 struct ReadyTask {
   double priority = 0.0;
-  uint64_t seq = 0;  ///< global insertion order, for deterministic ties
+  /// Insertion order within its heap, stamped by the Scheduler; a startup
+  /// task carries its position in its run, which precedes every push.
+  uint64_t seq = 0;
   int32_t id = -1;   ///< the task's FlatGraph id
   /// Home rank of a task migrated here by inter-node stealing; -1 for a
   /// locally-owned task. The executor credits the origin rank instead of
@@ -40,12 +51,39 @@ struct ReadyTask {
 /// priority and pushed later), so the heap's front is the task to run next.
 bool runs_after(const ReadyTask& a, const ReadyTask& b);
 
+/// A rank's startup tasks dealt over the heaps as presorted runs of 4-byte
+/// task ids. Built once per Context; every run() serves the same runs.
+class StartupRuns {
+ public:
+  StartupRuns() = default;
+  /// Deals `ids` (in enqueue order) round robin over `heaps` runs, the i-th
+  /// id to run i % heaps, and sorts each run by (priority desc, enqueue
+  /// index asc). `priorities` is indexed by task id and must outlive the
+  /// runs.
+  StartupRuns(std::span<const int32_t> ids,
+              std::span<const double> priorities, int heaps);
+
+  size_t heaps() const { return begin_.empty() ? 0 : begin_.size() - 1; }
+  std::span<const int32_t> run(size_t h) const {
+    return {ids_.data() + begin_[h], ids_.data() + begin_[h + 1]};
+  }
+  size_t total() const { return ids_.size(); }
+  double priority(int32_t id) const {
+    return priority_[static_cast<size_t>(id)];
+  }
+
+ private:
+  std::vector<int32_t> ids_;
+  std::vector<uint32_t> begin_;  ///< heaps + 1 offsets into ids_
+  std::span<const double> priority_;
+};
+
 /// Contention/steal counters, cheap relaxed atomics kept on the hot paths.
 /// `contended_*` counts heap-lock acquisitions that had to wait (try_lock
 /// failed first).
 struct SchedStats {
   uint64_t steals = 0;          ///< tasks a worker took from a peer's heap
-  uint64_t steal_attempts = 0;  ///< peer heaps probed by idle workers
+  uint64_t steal_attempts = 0;  ///< non-empty peer heaps idle workers locked
   uint64_t contended_pushes = 0;
   uint64_t contended_pops = 0;
 
@@ -67,6 +105,11 @@ class Scheduler {
  public:
   explicit Scheduler(int num_workers);
 
+  /// Serve `runs` beside the heaps: heap h also holds runs.run(h), popped
+  /// front to back. Call once, before any push; `runs` must have one run
+  /// per heap and outlive the Scheduler.
+  void serve(const StartupRuns& runs);
+
   /// Enqueue a ready task on worker `worker`'s heap, or on the next heap in
   /// round-robin order when `worker` is -1 (a non-worker thread). Any
   /// thread may push with any id.
@@ -76,20 +119,11 @@ class Scheduler {
   /// its successors): one lock round trip per heap instead of per task.
   /// With `worker` = -1, task i goes to the i-th heap of the round robin.
   /// Leaves `ts` empty with its capacity.
-  void push_batch(std::vector<ReadyTask>&& ts, int worker) {
-    push_generated(
-        ts.size(), [&ts](size_t i) { return std::move(ts[i]); }, worker);
-    ts.clear();
-  }
+  void push_batch(std::vector<ReadyTask>&& ts, int worker);
 
-  /// push_batch() of the `n` tasks make(0) .. make(n - 1), built in place
-  /// under each heap's lock instead of in a vector first (a rank's startup
-  /// batch can hold tens of thousands of tasks).
-  template <class Make>
-  void push_generated(size_t n, Make&& make, int worker);
-
-  /// Dequeue the best task of `worker`'s own heap, else steal the top of
-  /// the next non-empty peer heap; false if none was found.
+  /// Dequeue the best task of `worker`'s own heap, else steal the best
+  /// task of the next non-empty peer heap; false if none was found. Heaps
+  /// whose count reads zero are skipped without taking their lock.
   bool try_pop(ReadyTask& out, int worker);
 
   /// Remove up to `max_n` ready tasks for migration to another node (the
@@ -99,10 +133,10 @@ class Scheduler {
   /// worker = -1. Returns the number harvested.
   size_t harvest(std::vector<ReadyTask>& out, size_t max_n);
 
-  /// Approximate number of queued tasks, O(1): a relaxed atomic counter
-  /// maintained on push/pop, never a sweep over the heap locks. Exact once
-  /// the heaps are quiescent.
-  size_t size() const { return size_.load(std::memory_order_acquire); }
+  /// Approximate number of queued tasks and startup entries: the sum of the
+  /// per-heap counts, never a sweep over the heap locks. Exact once the
+  /// heaps are quiescent.
+  size_t size() const;
 
   /// Snapshot of the contention and steal counters.
   SchedStats stats() const;
@@ -111,48 +145,39 @@ class Scheduler {
   struct alignas(64) Heap {
     std::mutex mu;
     std::vector<ReadyTask> tasks;  ///< std::push_heap order, best in front
+    /// The startup run this heap serves: [run, run_end), run_begin marks
+    /// position 0 (a run entry's seq).
+    const int32_t* run_begin = nullptr;
+    const int32_t* run = nullptr;
+    const int32_t* run_end = nullptr;
+    uint64_t next_seq = 0;
+    /// Tasks plus run entries queued here. Written under `mu` only, read
+    /// without it by size() and by idle workers skipping empty heaps.
+    std::atomic<size_t> count{0};
+  };
+  /// A worker's steal counters, written by that worker only.
+  struct alignas(64) Thief {
+    std::atomic<uint64_t> steals{0};
+    std::atomic<uint64_t> attempts{0};
   };
 
   /// The heap a push by `worker` starts at; -1 advances the round robin
   /// by `count` tasks.
   size_t first_heap(int worker, size_t count);
-  /// Locks `h`, counting a lock that had to wait in contended_pushes_.
-  std::unique_lock<std::mutex> lock_for_push(Heap& h);
-  /// Publishes `added` tasks pushed onto `h` (lock held).
-  void pushed(Heap& h, size_t added);
-  /// Pops the top of `h` into `out`; false if `h` is empty.
+  /// Appends `t` to `h` with the heap's next seq (lock held).
+  static void push_locked(Heap& h, ReadyTask& t);
+  /// Pops the better of the run's head and the heap's top (lock held);
+  /// false if `h` holds neither.
+  bool pop_locked(Heap& h, ReadyTask& out);
+  /// Locks `h` and pops from it, counting a lock that had to wait.
   bool pop_from(Heap& h, ReadyTask& out);
 
   std::vector<Heap> heaps_;
+  std::vector<Thief> thieves_;
+  const StartupRuns* runs_ = nullptr;
   std::atomic<size_t> next_heap_{0};
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> steal_attempts_{0};
   std::atomic<uint64_t> contended_pushes_{0};
   std::atomic<uint64_t> contended_pops_{0};
 };
-
-template <class Make>
-void Scheduler::push_generated(size_t n, Make&& make, int worker) {
-  if (n == 0) return;
-  // A worker keeps the whole batch; otherwise task i goes to heap first + i.
-  const size_t heaps = worker >= 0 ? 1 : std::min(n, heaps_.size());
-  const size_t first = first_heap(worker, n);
-  for (size_t j = 0; j < heaps; ++j) {
-    Heap& h = heaps_[(first + j) % heaps_.size()];
-    auto lock = lock_for_push(h);
-    // Room for the whole share at once, still growing geometrically.
-    const size_t need = h.tasks.size() + (n - j + heaps - 1) / heaps;
-    if (need > h.tasks.capacity()) {
-      h.tasks.reserve(std::max(need, 2 * h.tasks.capacity()));
-    }
-    size_t added = 0;
-    for (size_t i = j; i < n; i += heaps, ++added) {
-      h.tasks.push_back(make(i));
-      std::push_heap(h.tasks.begin(), h.tasks.end(), runs_after);
-    }
-    pushed(h, added);
-  }
-}
 
 }  // namespace mp::ptg

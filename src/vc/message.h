@@ -72,6 +72,10 @@ class WireWriter {
     put_bytes(p, n * sizeof(double));
   }
 
+  /// Room for `n` bytes in all: a writer that knows its header's size
+  /// reserves it, so building the header allocates once.
+  void reserve(size_t n) { buf_.reserve(n); }
+
   Payload take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 

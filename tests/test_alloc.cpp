@@ -111,5 +111,73 @@ TEST(HotPath, SteadyRunAllocatesNothingPerLocalTask) {
       << allocations << " allocations in one run of " << executed << " tasks";
 }
 
+// The same chains on 2 ranks, task (l1, l2) on rank (l1 + l2) % 2, so every
+// activation crosses ranks. What a remote activation allocates: its wire
+// header (built with one allocation, WireWriter::reserve), the outbox and
+// mailbox bookkeeping, and on the receiving side the decoded buffer.
+TEST(HotPath, SteadyRemoteActivationsAllocateBoundedPerHop) {
+  constexpr int kRanks = 2;
+  constexpr int kChains = 64;
+  constexpr int kLen = 256;
+  std::atomic<uint64_t> allocations{0};
+  std::atomic<uint64_t> remote{0};
+  vc::Cluster cluster(kRanks);
+  cluster.run([&](vc::RankCtx& rctx) {
+    auto owner = [](const Params& p) { return (p[0] + p[1]) % kRanks; };
+    Taskpool pool;
+    TaskClass step;
+    step.name = "STEP";
+    step.rank_of = owner;
+    step.num_task_inputs = [](const Params& p) { return p[1] == 0 ? 0 : 1; };
+    step.enumerate_rank = [owner](int rank) {
+      std::vector<Params> out;
+      for (int l1 = 0; l1 < kChains; ++l1) {
+        for (int l2 = 0; l2 < kLen; ++l2) {
+          if (owner(params_of(l1, l2)) == rank) {
+            out.push_back(params_of(l1, l2));
+          }
+        }
+      }
+      return out;
+    };
+    step.body = [](TaskCtx& t) {
+      DataBuf buf = t.params()[1] == 0 ? make_buf(1, 0.0) : t.take_input(0);
+      buf->mutable_data()[0] += 1.0;
+      if (t.params()[1] < kLen - 1) t.set_output(0, std::move(buf));
+    };
+    const auto id = pool.add_class(std::move(step));
+    pool.mutable_cls(id).route_outputs = [id](const Params& p,
+                                              std::vector<OutRoute>& r) {
+      if (p[1] < kLen - 1) {
+        r.push_back({TaskKey{id, params_of(p[0], p[1] + 1)}, 0, 0});
+      }
+    };
+    Options opts;
+    opts.num_workers = 1;
+    Context ctx(rctx, pool, opts);
+    ctx.run();  // spawns the threads; vectors reach their steady size
+    rctx.barrier();
+    if (rctx.rank() == 0) {
+      g_allocations.store(0);
+      g_counting.store(true);
+    }
+    rctx.barrier();
+    ctx.run();
+    rctx.barrier();
+    if (rctx.rank() == 0) {
+      g_counting.store(false);
+      allocations.store(g_allocations.load());
+    }
+    remote.fetch_add(ctx.remote_activations_sent());
+  });
+  ASSERT_EQ(remote.load(), static_cast<uint64_t>(kChains) * (kLen - 1));
+  const double per_hop = static_cast<double>(allocations.load()) /
+                         static_cast<double>(remote.load());
+  // 5.2 per hop; a header that grows geometrically instead of reserving
+  // its size takes 3 more (8.2).
+  EXPECT_LT(per_hop, 6.0) << allocations.load() << " allocations for "
+                          << remote.load() << " remote activations";
+}
+
 }  // namespace
 }  // namespace mp::ptg

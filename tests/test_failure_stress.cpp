@@ -14,6 +14,7 @@
 // -DMP_SANITIZE=thread and =address.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <string>
@@ -281,6 +282,105 @@ TEST(FailureStress, DropsAcrossADeathNeverHangOrCorrupt) {
   // deterministic. Guaranteed completion across a death is covered by
   // the clean-fabric and dup/reorder tests above; this test's contract
   // is strictly never-hang, never-corrupt, clean unwind.
+}
+
+// --- a death while the survivors route activations to the victim ---
+
+TEST(FailureStress, DeathWhileRoutingToTheVictimLosesNoActivation) {
+  // SRC(i) runs on a survivor (rank 0 or 2) and routes its output to
+  // SINK(i, 0) and SINK(i, 1), homed on the victim, rank 1. Until a rank
+  // confirms the death, each SRC body spins for up to 100 us, so its workers
+  // keep routing activations to the victim across the whole detection
+  // window. A worker that picked the victim as destination just before the
+  // comm thread confirmed the death must leave its activation either in the
+  // log the recovery replays or routed to the stand-in (rank 2 under
+  // kRetry); an activation that falls between the two is lost, and only the
+  // watchdog ends the run.
+  constexpr int kRanks = 3, kVictim = 1, kSrc = 4000, kFan = 2, kReps = 16;
+  const auto width = static_cast<size_t>(kSrc) * kFan;
+  for (int rep = 0; rep < kReps; ++rep) {
+    vc::FabricConfig cfg;
+    cfg.crash_plans.push_back({kVictim, 200});
+    vc::Cluster cluster(kRanks, cfg);
+    std::vector<std::atomic<int>> sunk(width);
+    std::string error;
+    try {
+      cluster.run([&](vc::RankCtx& rctx) {
+        Context* self = nullptr;
+        Taskpool pool;
+        TaskClass src;
+        src.name = "SRC";
+        src.rank_of = [](const Params& p) { return p[0] % 2 == 0 ? 0 : 2; };
+        src.num_task_inputs = [](const Params&) { return 0; };
+        src.enumerate_rank = [](int rank) {
+          std::vector<Params> out;
+          for (int i = 0; i < kSrc; ++i) {
+            if ((i % 2 == 0 ? 0 : 2) == rank) out.push_back(params_of(i));
+          }
+          return out;
+        };
+        src.body = [&self](TaskCtx& t) {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+          while (self->confirmed_dead_mask() == 0 &&
+                 std::chrono::steady_clock::now() < until) {
+          }
+          for (int k = 0; k < kFan; ++k) {
+            t.set_output(k, make_buf(1, static_cast<double>(t.params()[0])));
+          }
+        };
+        const auto src_id = pool.add_class(std::move(src));
+        TaskClass sink;
+        sink.name = "SINK";
+        sink.rank_of = [](const Params&) { return kVictim; };
+        sink.num_task_inputs = [](const Params&) { return 1; };
+        sink.enumerate_rank = [](int rank) {
+          std::vector<Params> out;
+          if (rank != kVictim) return out;
+          for (int i = 0; i < kSrc; ++i) {
+            for (int k = 0; k < kFan; ++k) out.push_back(params_of(i, k));
+          }
+          return out;
+        };
+        sink.body = [&sunk](TaskCtx& t) {
+          const int i = t.params()[0];
+          if ((*t.input(0))[0] == static_cast<double>(i)) {
+            sunk[static_cast<size_t>(i * kFan + t.params()[1])].store(1);
+          }
+        };
+        const auto sink_id = pool.add_class(std::move(sink));
+        pool.mutable_cls(src_id).route_outputs =
+            [sink_id](const Params& p, std::vector<OutRoute>& r) {
+              for (int k = 0; k < kFan; ++k) {
+                r.push_back({TaskKey{sink_id, params_of(p[0], k)}, 0,
+                             static_cast<int8_t>(k)});
+              }
+            };
+        Options opts;
+        opts.num_workers = 2;
+        opts.enable_failure_detection = true;
+        opts.heartbeat_interval_ms = 2.0;
+        opts.suspect_after_ms = 30.0;
+        opts.confirm_after_ms = 60.0;
+        opts.on_rank_failure = FailurePolicy::kRetry;
+        opts.retry_limit = 1;
+        opts.termination_resend_ms = 20.0;
+        // Recovery replays every activation sent to the victim; a lost one
+        // leaves the stand-in waiting, which the watchdog reports.
+        opts.watchdog_timeout_ms = 2000.0;
+        Context ctx(rctx, pool, opts);
+        self = &ctx;
+        ctx.run();
+      });
+    } catch (const StateError& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, "") << "rep " << rep;
+    EXPECT_EQ(cluster.fabric().stats().ranks_killed, 1u) << "rep " << rep;
+    size_t missing = 0;
+    for (const auto& s : sunk) missing += s.load() == 0 ? 1 : 0;
+    EXPECT_EQ(missing, 0u) << "rep " << rep;
+  }
 }
 
 // --- a second death exhausts retry_limit=1: structured escalation ---

@@ -375,13 +375,136 @@ TEST(Scheduler, HarvestReachesEveryHeapAndCountsNoSteal) {
   std::vector<ReadyTask> got;
   std::thread comm([&] { s.harvest(got, 10); });
   comm.join();
-  std::vector<uint64_t> seqs;
-  for (const ReadyTask& t : got) seqs.push_back(t.seq);
-  std::sort(seqs.begin(), seqs.end());
-  EXPECT_EQ(seqs, (std::vector<uint64_t>{0, 1, 2}));
+  std::vector<int32_t> ids;
+  for (const ReadyTask& t : got) ids.push_back(t.id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<int32_t>{0, 1, 2}));
   EXPECT_EQ(s.size(), 0u);
   EXPECT_EQ(s.stats().steals, 0u);
   EXPECT_EQ(s.stats().steal_attempts, 0u);
+}
+
+// --- startup runs served beside the heaps ---
+
+/// Priorities of task ids 0..19: startup ids are 0..9, pushed ids 10..19.
+const std::vector<double> kRunPrio = {2, 5, 2, 1, 5, 0, 2, 5, 1, 0,
+                                      5, 2, 1, 6, 0, 2, 5, 3, 1, 0};
+
+TEST(Scheduler, RunEntriesAndHeapTasksPopInOnePriorityThenSeqOrder) {
+  // One heap: its run holds every startup id, and pushed tasks interleave
+  // with it by priority. At equal priority a run entry was enqueued first,
+  // so it pops first, and pushed tasks pop in push order.
+  const std::vector<int32_t> startup = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const StartupRuns runs(startup, kRunPrio, 1);
+  Scheduler s(1);
+  s.serve(runs);
+  for (int32_t id = 10; id < 20; ++id) {
+    ReadyTask t;
+    t.priority = kRunPrio[static_cast<size_t>(id)];
+    t.id = id;
+    s.push(t, id % 2 == 0 ? 0 : -1);
+  }
+  std::vector<ReadyTask> popped;
+  ReadyTask out;
+  while (s.try_pop(out, 0)) popped.push_back(out);
+  ASSERT_EQ(popped.size(), 20u);
+  for (size_t i = 1; i < popped.size(); ++i) {
+    const ReadyTask& a = popped[i - 1];
+    const ReadyTask& b = popped[i];
+    EXPECT_TRUE(a.priority > b.priority ||
+                (a.priority == b.priority && a.seq < b.seq))
+        << "pop " << i << ": id " << b.id << " (" << b.priority << ", "
+        << b.seq << ") after id " << a.id << " (" << a.priority << ", "
+        << a.seq << ")";
+  }
+  // The exact order: (priority desc, then startup before pushed, then
+  // enqueue order).
+  std::vector<int32_t> ids;
+  for (const ReadyTask& t : popped) ids.push_back(t.id);
+  EXPECT_EQ(ids, (std::vector<int32_t>{13, 1, 4, 7, 10, 16, 17, 0, 2, 6, 11,
+                                       15, 3, 8, 12, 18, 5, 9, 14, 19}));
+  EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(Scheduler, StartupRunsAreDealtRoundRobinAndSortedPerHeap) {
+  // Id i of the startup order goes to run i % heaps, exactly where one
+  // round-robin push per id would land, sorted as that heap orders them.
+  const std::vector<int32_t> startup = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const StartupRuns runs(startup, kRunPrio, 3);
+  ASSERT_EQ(runs.heaps(), 3u);
+  EXPECT_EQ(runs.total(), 10u);
+  auto ids = [&](size_t h) {
+    const auto r = runs.run(h);
+    return std::vector<int32_t>(r.begin(), r.end());
+  };
+  EXPECT_EQ(ids(0), (std::vector<int32_t>{0, 6, 3, 9}));  // ids 0 3 6 9
+  EXPECT_EQ(ids(1), (std::vector<int32_t>{1, 4, 7}));     // ids 1 4 7
+  EXPECT_EQ(ids(2), (std::vector<int32_t>{2, 8, 5}));     // ids 2 5 8
+}
+
+TEST(Scheduler, SizeCountsRunEntries) {
+  const std::vector<int32_t> startup = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const StartupRuns runs(startup, kRunPrio, 2);
+  Scheduler s(2);
+  EXPECT_EQ(s.size(), 0u);
+  s.serve(runs);
+  EXPECT_EQ(s.size(), 10u);
+  s.push(ready(1.0, 10), 1);
+  EXPECT_EQ(s.size(), 11u);
+  ReadyTask out;
+  ASSERT_TRUE(s.try_pop(out, 0));
+  EXPECT_EQ(s.size(), 10u);
+  size_t popped = 1;
+  while (s.try_pop(out, 1)) ++popped;
+  EXPECT_EQ(popped, 11u);
+  EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(Scheduler, IntraRankStealTakesRunEntries) {
+  // Three startup ids over two heaps: heap 0's run holds ids 0 and 2, heap
+  // 1's run id 1. Worker 1 pops its own run, then steals heap 0's run
+  // entries best first.
+  const std::vector<int32_t> startup = {0, 1, 2};
+  const std::vector<double> prio = {1.0, 4.0, 3.0};
+  const StartupRuns runs(startup, prio, 2);
+  Scheduler s(2);
+  s.serve(runs);
+  ReadyTask out;
+  ASSERT_TRUE(s.try_pop(out, 1));
+  EXPECT_EQ(out.id, 1);
+  EXPECT_EQ(s.stats().steals, 0u);
+  ASSERT_TRUE(s.try_pop(out, 1));
+  EXPECT_EQ(out.id, 2);
+  EXPECT_EQ(out.priority, 3.0);
+  ASSERT_TRUE(s.try_pop(out, 1));
+  EXPECT_EQ(out.id, 0);
+  EXPECT_FALSE(s.try_pop(out, 1));
+  const SchedStats st = s.stats();
+  EXPECT_EQ(st.steals, 2u);
+  EXPECT_EQ(st.steal_attempts, 2u);
+  EXPECT_EQ(st.validate(), "");
+}
+
+TEST(Scheduler, HarvestTakesRunEntriesBesideHeapTasks) {
+  // The inter-node harvest pops each heap like a worker does: the better
+  // of the run's head and the heap's top, best first.
+  const std::vector<int32_t> startup = {0, 1, 2, 3};
+  const std::vector<double> prio = {1.0, 1.0, 5.0, 2.0};
+  const StartupRuns runs(startup, prio, 2);
+  Scheduler s(2);
+  s.serve(runs);  // heap 0: ids 2, 0; heap 1: ids 3, 1
+  s.push(ready(3.0, 10), 0);
+  std::vector<ReadyTask> got;
+  std::thread comm([&] { s.harvest(got, 4); });
+  comm.join();
+  std::vector<int32_t> ids;
+  for (const ReadyTask& t : got) ids.push_back(t.id);
+  EXPECT_EQ(ids, (std::vector<int32_t>{2, 10, 0, 3}));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.stats().steals, 0u);
+  ReadyTask out;
+  ASSERT_TRUE(s.try_pop(out, 1));
+  EXPECT_EQ(out.id, 1);
 }
 
 // --- tracing ---

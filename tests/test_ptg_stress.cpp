@@ -4,11 +4,14 @@
 //    shape, workers per rank and graph size);
 //  * failure injection on a remote rank (the abort protocol must unwind
 //    every rank instead of deadlocking);
-//  * execution over a fabric with injected latency and bandwidth limits.
+//  * execution over a fabric with injected latency and bandwidth limits;
+//  * termination when a rank's last tasks finish together on different
+//    workers.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -355,6 +358,78 @@ TEST(SchedulerConcurrency, SizeIsLockFreeUnderConcurrentPushPop) {
 
   EXPECT_EQ(popped.load(), static_cast<uint64_t>(kWorkers) * kPerWorker);
   EXPECT_EQ(sched.size(), 0u);
+}
+
+// Each worker counts its own tasks and a worker sums every count only when
+// its pop fails. When a rank's last tasks finish on different workers at
+// the same moment, at least one of those workers must see all counts, or
+// the rank never completes: the run would hang until the watchdog fires.
+// Per rank one FIRST task per worker activates a LAST task (across ranks
+// when there are two), and the LAST tasks of a rank wait in their bodies
+// until all of them have started, so they end together.
+void run_last_tasks_together(int nranks, int workers, int runs) {
+  std::vector<std::atomic<uint64_t>> started(static_cast<size_t>(nranks));
+  vc::Cluster cluster(nranks);
+  cluster.run([&](vc::RankCtx& rctx) {
+    const auto width = static_cast<uint64_t>(workers);
+    // FIRST(r, w) and LAST(r, w) live on rank r, one per worker.
+    auto per_worker = [workers](int rank) {
+      std::vector<Params> out;
+      for (int w = 0; w < workers; ++w) out.push_back(params_of(rank, w));
+      return out;
+    };
+    Taskpool pool;
+    TaskClass first;
+    first.name = "FIRST";
+    first.rank_of = [](const Params& p) { return p[0]; };
+    first.num_task_inputs = [](const Params&) { return 0; };
+    first.enumerate_rank = per_worker;
+    first.body = [](TaskCtx& t) { t.set_output(0, make_buf(1, 1.0)); };
+    const auto first_id = pool.add_class(std::move(first));
+    TaskClass last;
+    last.name = "LAST";
+    last.rank_of = [](const Params& p) { return p[0]; };
+    last.num_task_inputs = [](const Params&) { return 1; };
+    last.enumerate_rank = per_worker;
+    last.body = [&started, width](TaskCtx& t) {
+      // Rendezvous of this rank's LAST tasks: the ticket's generation ends
+      // once all of them have arrived. Bounded, so a busy host cannot turn
+      // a slow peer into a hang of this body.
+      std::atomic<uint64_t>& n = started[static_cast<size_t>(t.params()[0])];
+      const uint64_t target = (n.fetch_add(1) / width + 1) * width;
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+      while (n.load() < target && std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+    };
+    const auto last_id = pool.add_class(std::move(last));
+    pool.mutable_cls(first_id).route_outputs =
+        [last_id, nranks](const Params& p, std::vector<OutRoute>& r) {
+          r.push_back({TaskKey{last_id, params_of((p[0] + 1) % nranks, p[1])},
+                       0, 0});
+        };
+    Options opts;
+    opts.num_workers = workers;
+    // A lost completion leaves every worker asleep with nothing queued:
+    // the watchdog turns that hang into a StateError within half a second.
+    opts.watchdog_timeout_ms = 500.0;
+    Context ctx(rctx, pool, opts);
+    for (int i = 0; i < runs; ++i) {
+      ctx.run();
+      ASSERT_EQ(ctx.tasks_executed(), ctx.expected_tasks())
+          << "rank " << rctx.rank() << " run " << i;
+      ASSERT_EQ(ctx.expected_tasks(), 2 * width);
+    }
+  });
+}
+
+TEST(TerminationStress, LastTasksEndingTogetherOneRankFourWorkers) {
+  run_last_tasks_together(/*nranks=*/1, /*workers=*/4, /*runs=*/1000);
+}
+
+TEST(TerminationStress, LastTasksEndingTogetherTwoRanksTwoWorkers) {
+  run_last_tasks_together(/*nranks=*/2, /*workers=*/2, /*runs=*/1000);
 }
 
 }  // namespace

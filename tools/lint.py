@@ -85,6 +85,22 @@ Checks, each with a stable rule id:
                          per template, and the per-task path calls a
                          class's body (and, after a rank death, its
                          recovery hooks) and nothing else.
+  shared-rmw-on-task-path No atomic read-modify-write (`fetch_*`,
+                         `exchange`, `compare_exchange_*`) on a member of
+                         the run's Submission (`sub.` / `sub_->`) inside
+                         Context::execute_task, deposit, publish,
+                         post_activation or worker_loop in
+                         src/ptg/context.cpp. Every worker of a rank runs
+                         these per task, so such an update bounces one
+                         cache line between all of them; per-task counts
+                         live in the worker's own WorkerScratch or under
+                         a heap's lock instead. A task's own pending-input
+                         count is reached through a reference, not a
+                         `sub.` member, and is allowed. Waiver: a
+                         `// mp-lint: allow(shared-rmw-on-task-path)`
+                         comment on the line or the line above (the rare
+                         paths: a migrated-in task's credit, a duplicate
+                         deposit dropped under failure detection).
 
 Exit status: 0 clean, 1 findings, 2 internal error.
 Usage: tools/lint.py [--tidy] [paths...]   (default: src/ bench/)
@@ -124,6 +140,16 @@ CODEC_FILE = "src/ptg/context.cpp"
 CODEC_FNS = ("encode_buf", "decode_buf")
 CODEC_DEF_RE = re.compile(r"\b(encode_buf|decode_buf)\s*\([^;{]*\)\s*\{")
 RUNTIME_FILE = "src/ptg/context.cpp"
+# The Context functions every worker runs per task, and an atomic
+# read-modify-write on a Submission member, e.g. `sub.executed.fetch_add(`.
+TASK_PATH_FNS = ("execute_task", "deposit", "publish", "post_activation",
+                 "worker_loop")
+TASK_PATH_DEF_RE = re.compile(
+    r"\bContext::(" + "|".join(TASK_PATH_FNS) + r")\s*\([^;{]*\)\s*\{")
+SHARED_RMW_RE = re.compile(
+    r"\bsub_?\s*(?:\.|->)\s*(\w+)\s*\.\s*"
+    r"(fetch_\w+|exchange|compare_exchange_\w+)\s*\(")
+RMW_WAIVER = "mp-lint: allow(shared-rmw-on-task-path)"
 SYMBOLIC_CALL_RE = re.compile(
     r"(?:\.|->)\s*(rank_of|priority|num_task_inputs|num_outputs|"
     r"route_outputs|enumerate_rank)\s*\(")
@@ -219,6 +245,7 @@ def lint_file(path, findings):
                  "the runtime; read the compiled graph (ptg::FlatGraph) "
                  "instead"))
         lint_reset_stats(path, rel, text, code, findings)
+        lint_task_path_rmw(rel, text, code, findings)
         if lint_tag_switches(rel, text, code, findings) == 0:
             findings.append(
                 (rel, 1, "wire-tag-exhaustiveness",
@@ -311,6 +338,36 @@ def lint_bulk_copies(rel, text, code, findings):
              f"`{m.group(1)}` outside the data-plane codec (encode_buf/"
              f"decode_buf in {CODEC_FILE}); route the buffer through the "
              "codec, which ships large buffers as shared segments"))
+
+
+def lint_task_path_rmw(rel, text, code, findings):
+    """shared-rmw-on-task-path: no atomic read-modify-write on a
+    Submission member inside the per-task Context functions. If one of them
+    disappears from the file the rule reports, so renaming it cannot
+    silently retire the rule."""
+    found = set()
+    lines = text.split("\n")
+    for m in TASK_PATH_DEF_RE.finditer(code):
+        found.add(m.group(1))
+        lo, hi = lambda_span(code, m.end() - 1)
+        for rmw in SHARED_RMW_RE.finditer(code, lo, hi):
+            line = line_of(text, rmw.start())
+            nearby = lines[max(0, line - 2):line]
+            if any(RMW_WAIVER in l for l in nearby):
+                continue
+            findings.append(
+                (rel, line, "shared-rmw-on-task-path",
+                 f"`sub.{rmw.group(1)}.{rmw.group(2)}(` in "
+                 f"Context::{m.group(1)}: every worker of the rank writes "
+                 "that cache line per task; count in the worker's "
+                 "WorkerScratch or under a heap's lock (waiver: // "
+                 + RMW_WAIVER + ")"))
+    for fn in TASK_PATH_FNS:
+        if fn not in found:
+            findings.append(
+                (rel, 1, "shared-rmw-on-task-path",
+                 f"`Context::{fn}` not found; the task-path rule cannot "
+                 "anchor (update tools/lint.py if it moved)"))
 
 
 RESET_FN_RE = re.compile(
